@@ -105,7 +105,7 @@ def _candidate_record(candidates: CandidateSet) -> dict:
 
 def cmd_analyze(args) -> tuple[dict, dict]:
     f, inputs = _input_cubic(args)
-    verdict = is_smooth_cubic(f, retries=args.retries, seed=args.seed)
+    verdict = is_smooth_cubic(f)
     outputs: dict = {
         "form": form_record(f),
         "smoothness": {"status": verdict.status, "witness": verdict.witness},
@@ -300,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[common, cubic_in],
                        help="smoothness, stability, and invariants of a cubic")
-    p.add_argument("--retries", type=int, default=3,
-                   help="retries for the randomized smoothness certificate")
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("cayleyan", parents=[common, cubic_in],

@@ -2,16 +2,13 @@
 Hessian curves, singular points of degenerate conics, smoothness testing,
 and the j-invariant along the Hesse pencil.
 
-Everything here is exact except the verdict semantics of the randomized
-smoothness test: a Smooth verdict is unconditionally correct, while a
-failure to certify is reported as ProbablySingular together with the retry
-count.  Hesse-pencil members bypass the randomized path entirely via the
-exact criterion t^3 != 1.
+Everything here is exact, the smoothness verdict included: Hesse-pencil
+members are decided by t^3 != 1, every other cubic by the rank of the
+multiplication map from triples of conics onto quartics.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -26,15 +23,15 @@ from .errors import (
 from .forms import (
     Scalar,
     TernaryForm,
+    coefficient_vector,
+    monomial_basis,
     partial_derivative,
-    substitute_linear,
     zero_form,
 )
-from .linalg import ExactMatrix, det_form_matrix, sylvester_resultant
+from .linalg import ExactMatrix, det_form_matrix
 
 SMOOTH = "smooth"
 SINGULAR = "singular"
-PROBABLY_SINGULAR = "probably-singular"
 
 _CUBE_MONOS = ((3, 0, 0), (0, 3, 0), (0, 0, 3))
 _PRODUCT_MONO = (1, 1, 1)
@@ -42,12 +39,8 @@ _PRODUCT_MONO = (1, 1, 1)
 
 @dataclass(frozen=True)
 class SmoothnessVerdict:
-    """Outcome of the smoothness test.
-
-    Smooth and Singular are certified; ProbablySingular means every retry of
-    the randomized resultant chain vanished, which is overwhelming (but not
-    conclusive) evidence of a singular curve.
-    """
+    """Outcome of the smoothness test: Smooth or Singular, with a witness
+    saying which exact criterion decided it."""
 
     status: str
     witness: str | None = None
@@ -165,34 +158,28 @@ def conic_singular_point(conic: TernaryForm) -> tuple[Fraction, Fraction, Fracti
     return canonical_point(kernel[0])
 
 
-def random_unimodular(rng: random.Random, bound: int = 9, shears: int = 6) -> list[list[int]]:
-    """Random integer matrix with determinant +-1 and entries in [-bound, bound],
-    built by composing row shears and sign flips from the identity."""
-    m = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+def _syzygy_matrix(f: TernaryForm, k: int) -> ExactMatrix:
+    """Matrix of (g0, g1, g2) -> sum g_i * d_i(f) from triples of degree
+    (k+1) forms to degree (k+3) forms, columns ordered with the partial
+    index outer and the graded-lex monomial of g inner."""
+    partials = [partial_derivative(f, i) for i in range(3)]
+    columns = []
     for i in range(3):
-        if rng.random() < 0.5:
-            m[i] = [-x for x in m[i]]
-    for _ in range(shears):
-        i, j = rng.sample(range(3), 2)
-        k = rng.choice([-2, -1, 1, 2])
-        candidate = [m[i][c] + k * m[j][c] for c in range(3)]
-        if all(abs(x) <= bound for x in candidate):
-            m[i] = candidate
-    return m
+        for mono in monomial_basis(k + 1):
+            g = TernaryForm(k + 1, {mono: 1}, f.space)
+            columns.append(coefficient_vector(g * partials[i], k + 3))
+    return ExactMatrix.from_columns(columns)
 
 
-def is_smooth_cubic(
-    f: TernaryForm, retries: int = 3, seed: int = 0
-) -> SmoothnessVerdict:
-    """Decide smoothness of a plane cubic.
+def is_smooth_cubic(f: TernaryForm) -> SmoothnessVerdict:
+    """Decide smoothness of a plane cubic exactly.
 
-    Hesse-pencil members are decided exactly (smooth iff t^3 != 1, and the
-    pure-product member is singular).  Otherwise the curve is singular
-    exactly when its three partial-derivative conics share a projective
-    zero, which is probed by a random invertible coordinate change followed
-    by iterated Sylvester resultants: a nonzero final resultant certifies
-    that no common zero exists.  Each vanishing chain is retried with fresh
-    coordinates; only Smooth is certified, never its complement.
+    Hesse-pencil members are decided by their parameter (smooth iff
+    t^3 != 1, and the pure-product member is singular).  Any other cubic is
+    smooth exactly when its partials form a regular sequence, that is
+    (Macaulay) when they generate every quartic: the multiplication map
+    from triples of conics onto the 15 quartics has full rank.  A common
+    zero of the partials, i.e. a singular point, keeps that rank below 15.
     """
     if f.is_zero():
         raise ZeroInputError("smoothness test needs a nonzero cubic")
@@ -209,25 +196,10 @@ def is_smooth_cubic(
             return SmoothnessVerdict(SINGULAR, f"Hesse parameter t = {t} has t^3 = 1")
         return SmoothnessVerdict(SMOOTH, f"Hesse parameter t = {t} has t^3 != 1")
 
-    rng = random.Random(seed)
-    for attempt in range(max(retries, 1)):
-        matrix = random_unimodular(rng)
-        g = substitute_linear(f, matrix)
-        partials = [partial_derivative(g, i) for i in range(3)]
-        if any(p.is_zero() for p in partials):
-            continue
-        r1 = sylvester_resultant(partials[0], partials[1], 0)
-        r2 = sylvester_resultant(partials[0], partials[2], 0)
-        if r1.is_zero() or r2.is_zero():
-            continue
-        r3 = sylvester_resultant(r1, r2, 1)
-        if not r3.is_zero():
-            return SmoothnessVerdict(
-                SMOOTH, f"nonzero resultant chain on attempt {attempt + 1}"
-            )
-    return SmoothnessVerdict(
-        PROBABLY_SINGULAR, f"resultant chain vanished in all {max(retries, 1)} retries"
-    )
+    rank = _syzygy_matrix(f, 1).rank()
+    if rank == 15:
+        return SmoothnessVerdict(SMOOTH, "partials generate all 15 quartics")
+    return SmoothnessVerdict(SINGULAR, f"partials generate only {rank} of 15 quartics")
 
 
 def j_invariant_hesse(t: Scalar) -> Fraction:

@@ -1,11 +1,11 @@
 """Exact dense linear algebra over the rationals, plus determinants of
 matrices whose entries are polynomial forms.
 
-Rank and determinant use fraction-free (Bareiss) elimination on an
-integer-rescaled copy of the matrix, which keeps intermediate entries as
-minors of the input and avoids rational blow-up.  Kernel bases come from a
-plain Gauss-Jordan reduction with Fractions; the matrices in this library
-never exceed 15 x 18, so clarity wins over asymptotics.
+Rank, determinant and kernel share one fraction-free (Bareiss)
+elimination on an integer-rescaled copy of the matrix, which keeps
+intermediate entries as minors of the input and avoids rational blow-up.
+Kernel vectors are back-substituted from its integer echelon rows, so
+Fractions appear only in the result.
 """
 
 from __future__ import annotations
@@ -87,22 +87,24 @@ class ExactMatrix:
             scaled.append([int(x * mult) for x in row])
         return scaled, scaling
 
-    # -- rank / determinant (fraction-free) ---------------------------------
+    # -- elimination (fraction-free) ----------------------------------------
 
-    def _bareiss(self) -> tuple[int, int, int, Fraction]:
+    def _bareiss(self) -> tuple[list[list[int]], list[int], int, Fraction]:
         """Fraction-free elimination on the integer-rescaled matrix.
 
-        Returns (rank, last_pivot, sign, row_scaling) where last_pivot is
-        the final Bareiss pivot (the determinant of the rank-sized pivot
-        minor up to sign) and row_scaling is the factor relating the integer
-        copy's determinant to the original's.
+        Returns (echelon, pivot_cols, sign, row_scaling): the integer row
+        echelon form, whose row i leads in column pivot_cols[i] and whose
+        last pivot is the determinant of the rank-sized pivot minor up to
+        sign; the sign of the row permutation; and the factor relating the
+        integer copy's determinant to the original's.
         """
         m, scaling = self._integer_rows()
         rows, cols = self.rows, self.cols
         sign = 1
         prev = 1
-        rank = 0
+        pivot_cols: list[int] = []
         for col in range(cols):
+            rank = len(pivot_cols)
             pivot_row = next(
                 (r for r in range(rank, rows) if m[r][col] != 0), None
             )
@@ -118,59 +120,40 @@ class ExactMatrix:
                     m[r][c] = (pivot * m[r][c] - factor * m[rank][c]) // prev
                 m[r][col] = 0
             prev = pivot
-            rank += 1
-            if rank == rows:
+            pivot_cols.append(col)
+            if len(pivot_cols) == rows:
                 break
-        return rank, prev, sign, scaling
+        return m, pivot_cols, sign, scaling
 
     def rank(self) -> int:
-        rank, _, _, _ = self._bareiss()
-        return rank
+        return len(self._bareiss()[1])
 
     def determinant(self) -> Fraction:
         if self.rows != self.cols:
             raise MatrixShapeError(
                 f"determinant needs a square matrix, got {self.rows}x{self.cols}"
             )
-        rank, last_pivot, sign, scaling = self._bareiss()
-        if rank < self.rows:
+        echelon, pivot_cols, sign, scaling = self._bareiss()
+        if len(pivot_cols) < self.rows:
             return Fraction(0)
-        return Fraction(sign * last_pivot) / scaling
-
-    # -- kernel --------------------------------------------------------------
+        return Fraction(sign * echelon[-1][-1]) / scaling
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right kernel: all v with M*v = 0, exactly.
 
-        Deterministic: one vector per free column, the free variable set to 1
-        and pivot variables back-substituted from the reduced echelon form.
+        Deterministic: one vector per free column, that variable set to 1 and
+        the other free variables to 0, with the pivot variables
+        back-substituted through the integer echelon rows.
         """
-        m = [list(row) for row in self.entries]
-        rows, cols = self.rows, self.cols
-        pivot_cols: list[int] = []
-        r = 0
-        for col in range(cols):
-            pivot_row = next((i for i in range(r, rows) if m[i][col] != 0), None)
-            if pivot_row is None:
-                continue
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-            inv = m[r][col]
-            m[r] = [x / inv for x in m[r]]
-            for i in range(rows):
-                if i != r and m[i][col] != 0:
-                    factor = m[i][col]
-                    m[i] = [a - factor * b for a, b in zip(m[i], m[r])]
-            pivot_cols.append(col)
-            r += 1
-            if r == rows:
-                break
-        free_cols = [c for c in range(cols) if c not in pivot_cols]
+        echelon, pivot_cols, _, _ = self._bareiss()
+        cols = self.cols
         basis = []
-        for free in free_cols:
+        for free in (c for c in range(cols) if c not in pivot_cols):
             v = [Fraction(0)] * cols
             v[free] = Fraction(1)
-            for row_idx, pc in enumerate(pivot_cols):
-                v[pc] = -m[row_idx][free]
+            for row, pc in reversed(list(enumerate(pivot_cols))):
+                tail = sum(echelon[row][c] * v[c] for c in range(pc + 1, cols) if v[c])
+                v[pc] = Fraction(-tail, echelon[row][pc])
             basis.append(tuple(v))
         return basis
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+from .cubics import _syzygy_matrix, is_smooth_cubic
 from .errors import DegreeMismatchError, SingularCurveError, ZeroInputError
 from .forms import (
     DUAL,
@@ -69,6 +70,12 @@ def _check_cubic_and_alpha(f: TernaryForm, alpha: TernaryForm) -> None:
         raise DegreeMismatchError(f"alpha must be linear, got degree {alpha.degree}")
 
 
+def _require_smooth(f: TernaryForm) -> None:
+    verdict = is_smooth_cubic(f)
+    if not verdict.is_smooth:
+        raise SingularCurveError(f"the cubic is singular: {verdict.witness}")
+
+
 def jumping_matrix(f: TernaryForm, alpha: TernaryForm) -> ExactMatrix:
     """The 6x6 matrix whose columns are the degree-2 coefficient vectors of
     z0*alpha, z1*alpha, z2*alpha, d0(f), d1(f), d2(f), in that order."""
@@ -97,10 +104,10 @@ def cayleyan_cubic(f: TernaryForm) -> TernaryForm:
     expanded by generalized Laplace along the three constant columns (the
     partial-derivative columns), so each summand is a rational 3x3 minor
     times a 3x3 determinant of dual linear forms.  The overall sign is fixed
-    by the column order z0*a, z1*a, z2*a, d0 f, d1 f, d2 f.
+    by the column order z0*a, z1*a, z2*a, d0 f, d1 f, d2 f.  Raises
+    SingularCurveError on a singular cubic.
     """
-    if f.degree != 3:
-        raise DegreeMismatchError(f"need a cubic, got degree {f.degree}")
+    _require_smooth(f)
 
     # Symbolic block: entry (row m, col i) is the dual linear form giving
     # the coefficient of basis monomial m in z_i * (a0 z0 + a1 z1 + a2 z2);
@@ -131,24 +138,7 @@ def cayleyan_cubic(f: TernaryForm) -> TernaryForm:
         if sum(rows) % 2 == 1:
             term = -term
         total = total + term
-    if total.is_zero():
-        raise SingularCurveError(
-            "jumping-line determinant vanishes identically; the cubic is degenerate"
-        )
     return total
-
-
-def _syzygy_matrix(f: TernaryForm, k: int) -> ExactMatrix:
-    """Matrix of (g0, g1, g2) -> sum g_i * d_i(f) from triples of degree
-    (k+1) forms to degree (k+3) forms, columns ordered with the partial
-    index outer and the graded-lex monomial of g inner."""
-    partials = [partial_derivative(f, i) for i in range(3)]
-    columns = []
-    for i in range(3):
-        for mono in monomial_basis(k + 1):
-            g = TernaryForm(k + 1, {mono: 1}, f.space)
-            columns.append(coefficient_vector(g * partials[i], k + 3))
-    return ExactMatrix.from_columns(columns)
 
 
 def canonical_normal(vector: Sequence[Fraction]) -> HyperplaneNormal:
@@ -169,17 +159,11 @@ def jacobi_degree3(f: TernaryForm) -> HyperplaneNormal:
 
     The multiplication map from triples of linear forms into cubics is
     injective for smooth f, so its image is a hyperplane; the normal spans
-    the kernel of the transposed 10x9 matrix.  Rank below 9 signals a
-    non-smooth input and raises.
+    the kernel of the transposed 10x9 matrix.  Raises SingularCurveError on
+    a singular cubic.
     """
-    if f.degree != 3:
-        raise DegreeMismatchError(f"need a cubic, got degree {f.degree}")
-    matrix = _syzygy_matrix(f, 0)
-    if matrix.rank() < 9:
-        raise SingularCurveError(
-            "multiplication by the partials is not injective; cubic is not smooth"
-        )
-    kernel = matrix.transpose().kernel_basis()
+    _require_smooth(f)
+    kernel = _syzygy_matrix(f, 0).transpose().kernel_basis()
     return canonical_normal(kernel[0])
 
 

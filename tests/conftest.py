@@ -34,6 +34,22 @@ def rand_hesse_t(rng: random.Random, exclude_cubes: tuple[int, ...] = (1,)) -> F
             return t
 
 
+def random_unimodular(rng: random.Random, bound: int = 9, shears: int = 6) -> list[list[int]]:
+    """Random integer matrix with determinant +-1 and entries in [-bound, bound],
+    built by composing row shears and sign flips from the identity."""
+    m = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    for i in range(3):
+        if rng.random() < 0.5:
+            m[i] = [-x for x in m[i]]
+    for _ in range(shears):
+        i, j = rng.sample(range(3), 2)
+        k = rng.choice([-2, -1, 1, 2])
+        candidate = [m[i][c] + k * m[j][c] for c in range(3)]
+        if all(abs(x) <= bound for x in candidate):
+            m[i] = candidate
+    return m
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260808)

@@ -195,6 +195,11 @@ class TestDeterminismAndErrors:
         assert code == 1
         assert "error[singular-curve]" in err
 
+    def test_singular_form_refused(self, capsys):
+        code, report, _ = run_json(capsys, "jacobi", "--form", "z1^2*z2 - z0^3 - z0^2*z2")
+        assert code == 1
+        assert report["error"]["category"] == "singular-curve"
+
     def test_usage_error_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["cayleyan"])

@@ -74,6 +74,26 @@ def rand_matrix(rng, rows, cols, max_den=4):
     return [[rand_fraction(rng, -6, 6, max_den) for _ in range(cols)] for _ in range(rows)]
 
 
+def rank_deficient_matrix(rng):
+    """5x5 matrix of rank at most 3: a random 3x5 block, then a combination
+    of its first two rows and a copy of its third."""
+    base = rand_matrix(rng, 3, 5)
+    c1, c2 = rand_fraction(rng), rand_fraction(rng)
+    return base + [
+        [c1 * a + c2 * b for a, b in zip(base[0], base[1])],
+        list(base[2]),
+    ]
+
+
+def free_columns(entries) -> list[int]:
+    """Columns that are combinations of the columns before them, found by
+    ranks of column prefixes."""
+    prefix_ranks = [0] + [
+        naive_rank([row[: c + 1] for row in entries]) for c in range(len(entries[0]))
+    ]
+    return [c for c in range(len(entries[0])) if prefix_ranks[c + 1] == prefix_ranks[c]]
+
+
 # -- ExactMatrix ---------------------------------------------------------------
 
 
@@ -103,12 +123,7 @@ class TestExactMatrix:
     def test_rank_matches_naive_rank_deficient(self, rng):
         # Engineered deficiencies: duplicated and linearly combined rows.
         for _ in range(20):
-            base = rand_matrix(rng, 3, 5)
-            c1, c2 = rand_fraction(rng), rand_fraction(rng)
-            entries = base + [
-                [c1 * a + c2 * b for a, b in zip(base[0], base[1])],
-                list(base[2]),
-            ]
+            entries = rank_deficient_matrix(rng)
             m = ExactMatrix(entries)
             assert m.rank() == naive_rank(entries)
             assert m.rank() <= 3
@@ -120,14 +135,27 @@ class TestExactMatrix:
             assert ExactMatrix(entries).determinant() == minor_expansion_det(entries)
 
     def test_kernel_vectors_annihilate_exactly(self, rng):
+        inputs = []
         for _ in range(20):
             rows = rng.randint(1, 6)
             cols = rng.randint(1, 8)
-            m = ExactMatrix(rand_matrix(rng, rows, cols))
+            inputs.append(rand_matrix(rng, rows, cols))
+        for _ in range(10):
+            entries = rank_deficient_matrix(rng)
+            # The transpose with columns reordered has a free column in the
+            # middle as well as at the end.
+            moved = [[row[i] for i in (0, 1, 3, 2, 4)] for row in zip(*entries)]
+            inputs += [entries, moved]
+        for entries in inputs:
+            m = ExactMatrix(entries)
             basis = m.kernel_basis()
-            assert len(basis) == cols - m.rank()
-            for v in basis:
-                assert m.multiply_vector(v) == (Fraction(0),) * rows
+            free = free_columns(entries)
+            assert len(basis) == len(free) == m.cols - m.rank()
+            for own, v in zip(free, basis):
+                assert m.multiply_vector(v) == (Fraction(0),) * m.rows
+                # One vector per free column: 1 there, 0 on the other free
+                # columns, which pins the basis uniquely.
+                assert [v[c] for c in free] == [int(c == own) for c in free]
 
     def test_from_columns_transpose(self, rng):
         cols = [[rand_fraction(rng) for _ in range(4)] for _ in range(3)]

@@ -45,6 +45,10 @@ def cayleyan_closed_form(t: Fraction) -> TernaryForm:
     return cubes.scale(t) - product.scale(t**3 + 2)
 
 
+NODAL = "z1^2*z2 - z0^3 - z0^2*z2"
+CUSPIDAL = "z1^2*z2 - z0^3"
+
+
 def rand_alpha(rng) -> TernaryForm:
     while True:
         alpha = linear_form([rand_fraction(rng) for _ in range(3)])
@@ -175,6 +179,11 @@ class TestCayleyan:
         with pytest.raises(SingularCurveError):
             cayleyan_cubic(parse_form("z0^3"))
 
+    @pytest.mark.parametrize("text", [NODAL, CUSPIDAL])
+    def test_nodal_and_cuspidal_raise(self, text):
+        with pytest.raises(SingularCurveError):
+            cayleyan_cubic(parse_form(text))
+
 
 class TestJacobiHyperplane:
     def test_hesse_two(self):
@@ -220,6 +229,15 @@ class TestJacobiHyperplane:
             jacobi_degree3(hesse_cubic(1))
         with pytest.raises(SingularCurveError):
             jacobi_degree3(parse_form("z0^3"))
+
+    @pytest.mark.parametrize("text", [NODAL, CUSPIDAL])
+    def test_nodal_and_cuspidal_raise(self, text):
+        # The nodal cubic's multiplication map into cubics has full rank 9,
+        # so only the smoothness gate stops it from returning a normal.
+        with pytest.raises(SingularCurveError):
+            jacobi_degree3(parse_form(text))
+        with pytest.raises(SingularCurveError):
+            is_jumping_cubic(parse_form(text), parse_form("z0^3"))
 
 
 class TestJumpingCubic:
