@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Every subcommand is deterministic given its arguments and seed.  Output is
-human-readable text by default and machine-readable JSON with --json (the
-JSON carries no timing, so identical invocations produce identical bytes).
+Every subcommand is deterministic given its arguments; only `involution`
+samples at random, from its --seed.  Output is human-readable text by
+default and machine-readable JSON with --json (the JSON carries no timing,
+so identical invocations produce identical bytes).
 Exact rationals are always printed as p/q strings, never floats; domain
 errors exit with status 1 and a stable error category, usage errors exit 2.
 """
@@ -287,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized subroutines")
 
     cubic_in = argparse.ArgumentParser(add_help=False)
     group = cubic_in.add_mutually_exclusive_group(required=True)
@@ -336,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="numeric check of the polar involution on the Hessian curve")
     p.add_argument("--samples", type=int, default=100, help="number of sampling lines")
     p.add_argument("--tol", type=float, default=1e-8, help="chordal tolerance")
+    p.add_argument("--seed", type=int, default=0, help="seed for sampling the Hessian curve")
     p.set_defaults(handler=cmd_involution)
 
     p = sub.add_parser("verify-identities", parents=[common],

@@ -19,8 +19,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .cubics import gram_matrix, hessian_curve
 from .errors import (
@@ -30,6 +29,11 @@ from .errors import (
     ZeroInputError,
 )
 from .forms import TernaryForm, partial_derivative
+
+# numpy is imported inside the functions that use it, so that importing
+# logcubic, and every command but `involution`, does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 # Residual bound certifying that a sampled point lies on the (normalized)
 # Hessian curve, and the relative singular-value threshold for the numeric
@@ -62,6 +66,8 @@ def chordal_distance(p: np.ndarray, q: np.ndarray) -> float:
     Computed as the norm of p's component orthogonal to q, which stays
     accurate near zero (the textbook 1 - |<p,q>|^2 form floors out at the
     square root of machine epsilon)."""
+    import numpy as np
+
     p = np.asarray(p, dtype=complex)
     q = np.asarray(q, dtype=complex)
     u = p / np.linalg.norm(p)
@@ -108,6 +114,8 @@ def sample_hessian_points(
     """Up to 3n points on the Hessian curve of f, from n random rational
     lines.  Each returned point is unit-norm complex with normalized
     Hessian residual below RESIDUAL_BOUND."""
+    import numpy as np
+
     he = hessian_curve(f)
     if he.is_zero():
         raise SingularCurveError("Hessian form vanishes identically")
@@ -153,6 +161,8 @@ def involution_s(f: TernaryForm, q: np.ndarray) -> np.ndarray:
     one rules out the doubled-line degeneration.  The kernel direction is
     the right singular vector of the smallest singular value.
     """
+    import numpy as np
+
     if f.degree != 3:
         raise ZeroInputError("involution needs a cubic form")
     q = np.asarray(q, dtype=complex)

@@ -8,13 +8,18 @@ source parameter is then one of at most three roots of x^3 - 3sx + 2 = 0,
 and the hyperplane normal picks out the right one.  When the dual cubic is
 singular (s^3 = 1, equivalently j = 0, or the degenerate product-of-lines
 case) the candidates cannot be separated and reconstruction refuses.
+
+The rational candidates are found in time polynomial in the bit size of s:
+with s = p/q in lowest terms, y = q*x turns them into the integer roots of
+the monic cubic y^3 - 3pq*y + 2q^3, and exact integer bisection on each
+monotone run of that cubic, inside its Cauchy bound, finds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import isqrt
 from typing import Sequence
 
 from .cubics import hesse_cubic, hesse_pencil_split
@@ -78,79 +83,55 @@ def forward_invariants(t: Scalar) -> SheafInvariants:
     return SheafInvariants(cayleyan=cayleyan_cubic(f), hyperplane=jacobi_degree3(f))
 
 
-def _rational_roots(coeffs: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """All rational roots (with multiplicity) of a univariate polynomial
-    given by descending coefficients, and the deflated residual cofactor.
-
-    Classic rational-root search: after clearing denominators, any rational
-    root p/q in lowest terms has p dividing the constant term and q dividing
-    the leading coefficient.  Exact synthetic division peels roots off until
-    none remain.
-    """
-
-    def divisors(n: int) -> list[int]:
-        n = abs(n)
-        small: list[int] = []
-        large: list[int] = []
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                small.append(d)
-                if d * d != n:
-                    large.append(n // d)
-            d += 1
-        return small + large[::-1]
-
-    def candidates(poly: list[Fraction]) -> list[Fraction]:
-        lcm = 1
-        for c in poly:
-            lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in poly]
-        while ints and ints[0] == 0:
-            ints = ints[1:]
-        if not ints:
-            return []
-        lead, const = ints[0], ints[-1]
-        if const == 0:
-            return [Fraction(0)]
-        found = set()
-        for p in divisors(const):
-            for q in divisors(lead):
-                found.add(Fraction(p, q))
-                found.add(Fraction(-p, q))
-        return sorted(found)
-
-    poly = [Fraction(c) for c in coeffs]
-    roots: list[Fraction] = []
-    while len(poly) > 1:
-        root = next(
-            (
-                r
-                for r in candidates(poly)
-                if sum(c * r ** (len(poly) - 1 - i) for i, c in enumerate(poly)) == 0
-            ),
-            None,
-        )
-        if root is None:
-            break
-        roots.append(root)
-        deflated = [poly[0]]
-        for c in poly[1:-1]:
-            deflated.append(c + root * deflated[-1])
-        poly = deflated
-    return roots, poly
-
-
 def reconstruct_candidates(s: Scalar) -> CandidateSet:
     """All parameters x whose jumping-line cubic has Hesse parameter s,
     i.e. the roots of x^3 - 3sx + 2 = 0; rational roots exactly, the rest
-    packaged as the residual factor."""
+    packaged as the residual factor.
+
+    With s = p/q in lowest terms, a rational root a/b of q*x^3 - 3p*x + 2q
+    has b | q, so y = q*x maps the rational roots one-to-one onto the
+    integer roots of the monic cubic h(y) = y^3 - 3pq*y + 2q^3.  Those lie
+    within the Cauchy bound |y| <= 1 + max(|3pq|, 2q^3).  When p > 0, h
+    turns at y = +-sqrt(pq), so with c = isqrt(pq) it is strictly monotone
+    on the integer runs [-bound, -c-1], [-c, c] and [c+1, bound]; when
+    p <= 0 it increases everywhere and there is one run.  Exact integer
+    bisection finds the at most one root of each run in O(log(|p| + q))
+    steps.  The runs go left to right, so the roots come out sorted.  A
+    root r with r^2 = s is double (h' vanishes there) and the residual is
+    deflated by it twice.
+    """
     s = Fraction(s)
-    roots, residual = _rational_roots(
-        [Fraction(1), Fraction(0), -3 * s, Fraction(2)]
-    )
-    unique = tuple(sorted(set(roots)))
-    return CandidateSet(exact_roots=unique, residual=tuple(residual))
+    p, q = s.numerator, s.denominator
+
+    def h(y: int) -> int:
+        return y**3 - 3 * p * q * y + 2 * q**3
+
+    bound = 1 + max(abs(3 * p * q), 2 * q**3)
+    if p > 0:
+        c = isqrt(p * q)
+        runs = [(-bound, -c - 1, 1), (-c, c, -1), (c + 1, bound, 1)]
+    else:
+        runs = [(-bound, bound, 1)]
+    roots: list[Fraction] = []
+    for lo, hi, sign in runs:
+        # Least y in [lo, hi] with sign * h(y) >= 0; sign * h increases there.
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * h(mid) >= 0:
+                hi = mid
+            else:
+                lo = mid + 1
+        if h(lo) == 0:
+            roots.append(Fraction(lo, q))
+
+    residual = [Fraction(1), Fraction(0), -3 * s, Fraction(2)]
+    for r in roots:
+        for _ in range(2 if r * r == s else 1):
+            deflated = [residual[0]]
+            for coeff in residual[1:-1]:
+                deflated.append(coeff + r * deflated[-1])
+            residual = deflated
+    return CandidateSet(exact_roots=tuple(roots), residual=tuple(residual))
 
 
 def _dual_hesse_parameter(cayleyan: TernaryForm) -> Fraction:

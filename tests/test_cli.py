@@ -179,8 +179,8 @@ class TestSweepCommand:
 
 class TestDeterminismAndErrors:
     def test_byte_identical_json(self, capsys):
-        _, out1, _ = run_cli(capsys, "analyze", "--hesse-t", "2", "--seed", "4", "--json")
-        _, out2, _ = run_cli(capsys, "analyze", "--hesse-t", "2", "--seed", "4", "--json")
+        _, out1, _ = run_cli(capsys, "analyze", "--hesse-t", "2", "--json")
+        _, out2, _ = run_cli(capsys, "analyze", "--hesse-t", "2", "--json")
         assert out1 == out2
         _, inv1, _ = run_cli(
             capsys, "involution", "--hesse-t", "2", "--samples", "30", "--seed", "4", "--json"
@@ -201,9 +201,11 @@ class TestDeterminismAndErrors:
         assert report["error"]["category"] == "singular-curve"
 
     def test_usage_error_exit_two(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["cayleyan"])
-        assert exc.value.code == 2
+        # No input cubic; --seed belongs to involution alone.
+        for argv in (["cayleyan"], ["analyze", "--hesse-t", "2", "--seed", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
     def test_unknown_command_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
+import time
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from logcubic.cubics import hesse_cubic, j_invariant_hesse
 from logcubic.errors import (
@@ -32,6 +34,21 @@ def rand_torelli_t(rng) -> Fraction:
         t = rand_hesse_t(rng, exclude_cubes=(1, -8))
         if t != 0:
             return t
+
+
+def sympy_candidates(s: Fraction) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
+    """Rational roots of x^3 - 3sx + 2 and the monic product of its other
+    factors (descending coefficients), from sympy's factorization over Q."""
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(x**3 - 3 * sympy.Rational(s.numerator, s.denominator) * x + 2, x)
+    roots = set()
+    residual = sympy.Poly(1, x, domain="QQ")
+    for factor, mult in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            roots.add(Fraction(str(-factor.monic().nth(0))))
+        else:
+            residual *= factor.monic() ** mult
+    return tuple(sorted(roots)), tuple(Fraction(str(c)) for c in residual.all_coeffs())
 
 
 class TestCayleyanParameter:
@@ -99,14 +116,30 @@ class TestCandidates:
                     assert cayleyan_hesse_param(x) == s
 
     def test_residual_has_no_rational_roots(self, rng):
-        from logcubic.torelli import _rational_roots
-
+        x = sympy.Symbol("x")
         for _ in range(20):
             s = rand_nonzero_fraction(rng)
             cs = reconstruct_candidates(s)
             if len(cs.residual) > 1:
-                roots, _ = _rational_roots(list(cs.residual))
-                assert roots == []
+                coeffs = [sympy.Rational(c.numerator, c.denominator) for c in cs.residual]
+                factors = sympy.Poly(coeffs, x).factor_list()[1]
+                assert all(factor.degree() > 1 for factor, _ in factors)
+
+    def test_matches_sympy(self, rng):
+        def digits(k: int) -> int:
+            return rng.randint(10 ** (k - 1), 10**k - 1)
+
+        values = [Fraction(0), Fraction(1), Fraction(5, 3)]
+        while len(values) < 43:
+            t = Fraction(
+                rng.choice([-1, 1]) * digits(rng.randint(1, 3)), digits(rng.randint(1, 3))
+            )
+            if t != 0 and t**3 != 1:
+                values.append(cayleyan_hesse_param(t))
+        values += [-rand_nonzero_fraction(rng, lo=1, hi=999, max_den=999) for _ in range(20)]
+        for s in values:
+            cs = reconstruct_candidates(s)
+            assert (cs.exact_roots, cs.residual) == sympy_candidates(s), s
 
 
 class TestReconstruct:
@@ -118,6 +151,22 @@ class TestReconstruct:
         for _ in range(10):
             t = rand_torelli_t(rng)
             assert reconstruct(forward_invariants(t)) == t
+
+    @pytest.mark.parametrize("t", [Fraction(1234567, 7654), Fraction(123456789, 98765)])
+    def test_round_trip_large_height_within_budget(self, t):
+        start = time.perf_counter()
+        assert reconstruct(forward_invariants(t)) == t
+        assert time.perf_counter() - start < 1.0
+
+    def test_normal_reads_back_the_parameter(self, rng):
+        # The canonical normal of the pencil member at t is
+        # (t,0,0,0,1,0,t,0,0,t), an independent read-out of t.
+        samples = [Fraction(2), Fraction(1, 2), Fraction(-5, 3)]
+        samples += [rand_torelli_t(rng) for _ in range(10)]
+        for t in samples:
+            inv = forward_invariants(t)
+            assert inv.hyperplane == (t, 0, 0, 0, 1, 0, t, 0, 0, t)
+            assert inv.hyperplane[0] / inv.hyperplane[PRODUCT_INDEX] == reconstruct(inv) == t
 
     def test_refuses_product_family(self):
         with pytest.raises(CayleyanSingularError):
