@@ -43,12 +43,11 @@ from .sheaf import (
 from .torelli import (
     CandidateSet,
     SheafInvariants,
+    _reconstruct,
     cayleyan_hesse_param,
     cayleyan_singularity_identity,
     counterexample_check,
     forward_invariants,
-    reconstruct,
-    reconstruct_candidates,
 )
 
 
@@ -178,9 +177,7 @@ def cmd_reconstruct(args) -> tuple[dict, dict]:
             "provide --hesse-t for a self-test or both --cayleyan-file and "
             "--hyperplane-file for raw invariants"
         )
-    recovered = reconstruct(invariants)
-    s = cayleyan_hesse_param(recovered)
-    candidates = reconstruct_candidates(s)
+    recovered, s, candidates = _reconstruct(invariants)
     outputs = {
         "cayleyan_s": str(s),
         "candidates": _candidate_record(candidates),

@@ -3,11 +3,21 @@
 Each point q of the Hessian curve of a smooth cubic has a degenerate polar
 conic whose singular point s(q) again lies on the Hessian curve; the map
 q -> s(q) is an involution without fixed points.  This module samples the
-Hessian curve by intersecting it with random rational lines (exact
+Hessian curve by intersecting it with random integer lines (exact
 restriction, floating-point root extraction), applies the involution via
 the kernel direction of the numeric Gram matrix, and reports the worst
 double-application error and the closest approach to a fixed point in the
 chordal metric.
+
+The exact steps round to floats in one place each.  The restriction of the
+Hessian to a line is expanded in integers, after scaling the Hessian by
+its common denominator, and divided back once per coefficient.  The Gram
+matrices of the three partials are read off the ten cubic coefficients:
+entry (i, j, k) is d_i d_j d_k f / 2, that is c*e0!*e1!*e2!/2 for the
+coefficient c of the monomial z^e = z_i*z_j*z_k, rounded to float once.
+Either way each float is the correctly rounded value of the same exact
+rational as when the partials and restrictions were built from Fractions,
+so the numeric steps see the same inputs bit for bit.
 
 Points are double-precision complex 3-vectors normalized to unit norm; all
 randomness is drawn from an explicit seed.
@@ -18,17 +28,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import product
+from math import factorial, lcm, prod
 from typing import TYPE_CHECKING
 
-from .cubics import gram_matrix, hessian_curve
+from .cubics import hessian_curve
 from .errors import (
     InsufficientSamplesError,
     NumericRankError,
     SingularCurveError,
     ZeroInputError,
 )
-from .forms import TernaryForm, partial_derivative
+from .forms import Monomial, TernaryForm
 
 # numpy is imported inside the functions that use it, so that importing
 # logcubic, and every command but `involution`, does not load it.
@@ -40,6 +51,22 @@ if TYPE_CHECKING:
 # rank-2 test of the Gram matrix.
 RESIDUAL_BOUND = 1e-10
 RANK_TOLERANCE = 1e-6
+
+
+def _gram_slots() -> dict[Monomial, tuple[int, tuple[int, ...]]]:
+    """For each cubic monomial z^e: the weight e0!*e1!*e2! and the flat
+    indices 9i + 3j + k of the (3, 3, 3) Gram stack with z_i*z_j*z_k = z^e."""
+    slots: dict[Monomial, list[int]] = {}
+    for flat, ijk in enumerate(product(range(3), repeat=3)):
+        mono = tuple(ijk.count(v) for v in range(3))
+        slots.setdefault(mono, []).append(flat)
+    return {
+        mono: (prod(factorial(e) for e in mono), tuple(flats))
+        for mono, flats in slots.items()
+    }
+
+
+_GRAM_SLOTS = _gram_slots()
 
 
 @dataclass(frozen=True)
@@ -76,34 +103,42 @@ def chordal_distance(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def _restrict_to_line(
-    form: TernaryForm, base: tuple[Fraction, ...], direction: tuple[Fraction, ...]
+    form: TernaryForm, base: tuple[int, ...], direction: tuple[int, ...]
 ) -> list[Fraction]:
     """Exact coefficients c_k of form(mu*base + lam*direction) as a binary
-    form sum c_k mu^(d-k) lam^k, returned ascending in k."""
+    form sum c_k mu^(d-k) lam^k, returned ascending in k.
+
+    The form is scaled by the common denominator of its coefficients, so the
+    expansion runs in integers and each c_k is one Fraction at the end."""
     d = form.degree
-    out = [Fraction(0)] * (d + 1)
+    den = lcm(*(c.denominator for c in form.terms.values()))
+    # powers[i][e]: coefficients of (mu*p_i + lam*q_i)^e, ascending in lam.
+    powers = []
+    for p_i, q_i in zip(base, direction):
+        rows = [[1]]
+        for _ in range(d):
+            prev = rows[-1]
+            rows.append([p_i * a + q_i * b for a, b in zip(prev + [0], [0] + prev)])
+        powers.append(rows)
+    out = [0] * (d + 1)
     for mono, coeff in form.terms.items():
-        # Convolve the binomial expansions of (mu*p_i + lam*q_i)^e_i.
-        acc = [coeff]
-        for p_i, q_i, e in zip(base, direction, mono):
+        acc = [coeff.numerator * (den // coeff.denominator)]
+        for rows, e in zip(powers, mono):
             if e == 0:
                 continue
-            binom = [comb(e, k) * p_i ** (e - k) * q_i**k for k in range(e + 1)]
-            acc = [
-                sum(
-                    acc[a] * binom[k - a]
-                    for a in range(max(0, k - e), min(len(acc) - 1, k) + 1)
-                )
-                for k in range(len(acc) + e)
-            ]
+            expanded = [0] * (len(acc) + e)
+            for a, x in enumerate(acc):
+                for b, y in enumerate(rows[e]):
+                    expanded[a + b] += x * y
+            acc = expanded
         for k, c in enumerate(acc):
             out[k] += c
-    return out
+    return [Fraction(c, den) for c in out]
 
 
-def _random_projective_point(rng: random.Random) -> tuple[Fraction, ...]:
+def _random_projective_point(rng: random.Random) -> tuple[int, ...]:
     while True:
-        point = tuple(Fraction(rng.randint(-9, 9)) for _ in range(3))
+        point = tuple(rng.randint(-9, 9) for _ in range(3))
         if any(c != 0 for c in point):
             return point
 
@@ -111,9 +146,13 @@ def _random_projective_point(rng: random.Random) -> tuple[Fraction, ...]:
 def sample_hessian_points(
     f: TernaryForm, n: int, seed: int = 0
 ) -> list[np.ndarray]:
-    """Up to 3n points on the Hessian curve of f, from n random rational
+    """Up to 3n points on the Hessian curve of f, from n random integer
     lines.  Each returned point is unit-norm complex with normalized
-    Hessian residual below RESIDUAL_BOUND."""
+    Hessian residual below RESIDUAL_BOUND.
+
+    The Hessian's restriction to each line is exact (an integer expansion,
+    one Fraction per coefficient) and is rounded to floats only when handed
+    to the root finder; the residual is evaluated on the complex point."""
     import numpy as np
 
     he = hessian_curve(f)
@@ -153,25 +192,39 @@ def sample_hessian_points(
     return points
 
 
+def _gram_stack(f: TernaryForm) -> np.ndarray:
+    """The (3, 3, 3) float array whose slice i is the Gram matrix G_i of
+    d_i f, with entries d_i d_j d_k f / 2 read off the ten coefficients of
+    the cubic f.  Each entry is one correctly rounded integer division, so
+    it equals the float of the exact partial's Gram entry."""
+    import numpy as np
+
+    flat = [0.0] * 27
+    for mono, coeff in f.terms.items():
+        weight, slots = _GRAM_SLOTS[mono]
+        # int / int rounds correctly, exactly as float(Fraction) does.
+        value = coeff.numerator * weight / (2 * coeff.denominator)
+        for slot in slots:
+            flat[slot] = value
+    return np.array(flat).reshape(3, 3, 3)
+
+
 def involution_s(f: TernaryForm, q: np.ndarray) -> np.ndarray:
     """Singular point of the polar conic of f at a Hessian-curve point q.
 
-    The polar's Gram matrix must be numerically rank 2: its smallest
-    singular value certifies q lies on the Hessian curve, and the middle
-    one rules out the doubled-line degeneration.  The kernel direction is
-    the right singular vector of the smallest singular value.
+    The polar's Gram matrix sum q_i G_i must be numerically rank 2: its
+    smallest singular value certifies q lies on the Hessian curve, and the
+    middle one rules out the doubled-line degeneration.  The kernel
+    direction is the right singular vector of the smallest singular value.
+
+    G_i is the Gram matrix of d_i f, from :func:`_gram_stack`.
     """
     import numpy as np
 
     if f.degree != 3:
         raise ZeroInputError("involution needs a cubic form")
     q = np.asarray(q, dtype=complex)
-    grams = [
-        np.array(
-            [[float(x) for x in row] for row in gram_matrix(partial_derivative(f, i)).entries]
-        )
-        for i in range(3)
-    ]
+    grams = _gram_stack(f)
     gram = sum(q[i] * grams[i] for i in range(3))
     _, sigma, vh = np.linalg.svd(gram)
     if sigma[0] == 0 or sigma[2] / sigma[0] > RANK_TOLERANCE:

@@ -173,34 +173,40 @@ def det_form_matrix(rows: Sequence[Sequence[TernaryForm]]) -> TernaryForm:
     if n == 0 or any(len(row) != n for row in rows):
         raise MatrixShapeError("form matrix must be square and nonempty")
     space = rows[0][0].space
-    memo: dict[frozenset[int], TernaryForm | None] = {}
-
-    def minor(col: int, available: frozenset[int]) -> TernaryForm | None:
-        """Determinant of the submatrix on columns col.. and rows available,
-        or None when identically zero."""
-        if col == n:
-            return constant_form(1, space)
-        if available in memo:
-            return memo[available]
-        total: TernaryForm | None = None
-        for position, row_idx in enumerate(sorted(available)):
-            entry = rows[row_idx][col]
-            if entry.is_zero():
-                continue
-            sub = minor(col + 1, available - {row_idx})
-            if sub is None:
-                continue
-            term = entry * sub
-            if position % 2 == 1:
-                term = -term
-            total = term if total is None else total + term
-            if total is not None and total.is_zero():
-                total = None
-        memo[available] = total
-        return total
-
-    result = minor(0, frozenset(range(n)))
+    result = _det_minor(rows, 0, frozenset(range(n)), {}, space)
     return result if result is not None else zero_form(0, space)
+
+
+def _det_minor(
+    rows: Sequence[Sequence[TernaryForm]],
+    col: int,
+    available: frozenset[int],
+    memo: dict[frozenset[int], TernaryForm | None],
+    space: str,
+) -> TernaryForm | None:
+    """Determinant of the submatrix on columns col.. and rows available,
+    or None when identically zero.  A module-level function rather than a
+    closure, so that no call leaves a reference cycle for the collector."""
+    if col == len(rows):
+        return constant_form(1, space)
+    if available in memo:
+        return memo[available]
+    total: TernaryForm | None = None
+    for position, row_idx in enumerate(sorted(available)):
+        entry = rows[row_idx][col]
+        if entry.is_zero():
+            continue
+        sub = _det_minor(rows, col + 1, available - {row_idx}, memo, space)
+        if sub is None:
+            continue
+        term = entry * sub
+        if position % 2 == 1:
+            term = -term
+        total = term if total is None else total + term
+        if total is not None and total.is_zero():
+            total = None
+    memo[available] = total
+    return total
 
 
 def sylvester_resultant(p: TernaryForm, q: TernaryForm, var: int) -> TernaryForm:

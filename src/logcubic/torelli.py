@@ -164,6 +164,12 @@ def reconstruct(inv: SheafInvariants) -> Fraction:
     compared projectively with the given one; exactness makes the match
     unique whenever the dual cubic is smooth.
     """
+    return _reconstruct(inv)[0]
+
+
+def _reconstruct(inv: SheafInvariants) -> tuple[Fraction, Fraction, CandidateSet]:
+    """The work of :func:`reconstruct`, returning the recovered parameter
+    together with s and the candidate set it was chosen from."""
     s = _dual_hesse_parameter(inv.cayleyan)
     if s**3 == 1:
         raise CayleyanSingularError(
@@ -183,7 +189,7 @@ def reconstruct(inv: SheafInvariants) -> Fraction:
         raise InconsistentInvariantsError(
             "no candidate parameter reproduces the supplied hyperplane normal"
         )
-    return matches[0]
+    return matches[0], s, candidates
 
 
 def _upoly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:

@@ -1,6 +1,7 @@
 """The traced benchmark run (perfbench/layertrace.py) wraps library
-functions by name; every name it lists must exist, so that renaming or
-deleting one fails here rather than in the benchmark."""
+functions by name; every name it lists must exist, and the library must
+call them through the names the tracer rebinds, so that renaming, deleting
+or bypassing one fails here rather than in the benchmark."""
 
 import importlib
 import importlib.util
@@ -32,3 +33,24 @@ def test_matrix_methods_resolve(layertrace):
     for method in layertrace.MATRIX_METHODS:
         # install() patches the class's own attribute, not an inherited one.
         assert callable(vars(ExactMatrix).get(method)), f"ExactMatrix.{method}"
+
+
+def test_traced_involution_run(layertrace):
+    """A traced check_involution call records its spans: every application
+    of the involution goes through the wrapped involution_s, and the
+    sampling span carries its line and point counts."""
+    for layer in layertrace.LAYERS:
+        importlib.import_module(f"logcubic.{layer}")
+    from logcubic import involution
+    from logcubic.cubics import hesse_cubic
+
+    tracer = layertrace.Tracer()
+    tracer.op = 0
+    tracer.install()
+    try:
+        report = involution.check_involution(hesse_cubic(2), 10, 1e-8, seed=0)
+    finally:
+        tracer.remove()
+    metrics = layertrace.layer_metrics(tracer.spans, {0: 1})
+    assert metrics["involution.involution_s.calls"] >= 2 * report.samples
+    assert metrics["involution.points_per_line"] > 0

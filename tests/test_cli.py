@@ -85,6 +85,25 @@ class TestReconstructCommand:
         assert code == 0
         assert report["outputs"]["reconstructed_t"] == "1/2"
 
+    def test_candidates_searched_once(self, capsys, monkeypatch):
+        import logcubic.cli
+        import logcubic.torelli
+
+        calls = []
+        original = logcubic.torelli.reconstruct_candidates
+
+        def counting(s):
+            calls.append(s)
+            return original(s)
+
+        # Whichever module's binding a call goes through, it is counted.
+        monkeypatch.setattr(logcubic.torelli, "reconstruct_candidates", counting)
+        monkeypatch.setattr(logcubic.cli, "reconstruct_candidates", counting, raising=False)
+        code, report, _ = run_json(capsys, "reconstruct", "--hesse-t", "1/2")
+        assert code == 0
+        assert report["outputs"]["reconstructed_t"] == "1/2"
+        assert calls == [Fraction(17, 12)]
+
     def test_torelli_failure_error(self, capsys):
         code, report, _ = run_json(capsys, "reconstruct", "--hesse-t", "0")
         assert code == 1

@@ -1,23 +1,42 @@
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+import sympy
 
-from logcubic.cubics import hesse_cubic, hessian_curve
+from logcubic.cubics import gram_matrix, hesse_cubic, hessian_curve
 from logcubic.errors import (
     InsufficientSamplesError,
     NumericRankError,
     SingularCurveError,
     ZeroInputError,
 )
-from logcubic.forms import parse_form
+from logcubic.forms import TernaryForm, monomial_basis, parse_form, partial_derivative
 from logcubic.involution import (
     InvolutionReport,
+    _gram_stack,
+    _random_projective_point,
+    _restrict_to_line,
     check_involution,
     chordal_distance,
     involution_s,
     sample_hessian_points,
 )
+
+from conftest import rand_fraction, rand_hesse_t
+
+
+def seeded_cubics(seed: int, count: int = 10) -> list[TernaryForm]:
+    """Dense integer cubics (coefficients in [-9, 9]), dense cubics with
+    small p/q coefficients, and Hesse-pencil members, in equal numbers."""
+    rng = random.Random(seed)
+    cubics = []
+    for _ in range(count):
+        cubics.append(TernaryForm(3, {m: rng.randint(-9, 9) for m in monomial_basis(3)}))
+        cubics.append(TernaryForm(3, {m: rand_fraction(rng) for m in monomial_basis(3)}))
+        cubics.append(hesse_cubic(rand_hesse_t(rng)))
+    return cubics
 
 
 class TestChordalDistance:
@@ -64,6 +83,38 @@ class TestSampling:
         b = sample_hessian_points(hesse_cubic(2), 8, seed=9)
         assert len(a) == len(b)
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+class TestExactPreSteps:
+    """The exact steps before the numerics, against the constructions they
+    replace: Gram matrices of the exact partials, and sympy's expansion."""
+
+    def test_gram_stack_matches_partials(self):
+        for f in seeded_cubics(31):
+            oracle = np.array(
+                [[[float(x) for x in row] for row in gram_matrix(partial_derivative(f, i)).entries]
+                 for i in range(3)]
+            )
+            assert np.array_equal(_gram_stack(f), oracle)
+
+    def test_restriction_matches_sympy(self):
+        z = sympy.symbols("z0 z1 z2")
+        mu, lam = sympy.symbols("mu lam")
+        rng = random.Random(32)
+        for f in seeded_cubics(33, count=4):
+            he = hessian_curve(f)
+            poly = sum(sympy.Rational(c.numerator, c.denominator) * z[0] ** e0 * z[1] ** e1
+                       * z[2] ** e2 for (e0, e1, e2), c in he.terms.items())
+            for _ in range(5):
+                base = _random_projective_point(rng)
+                direction = _random_projective_point(rng)
+                line = sympy.Poly(
+                    poly.xreplace({z[i]: mu * base[i] + lam * direction[i] for i in range(3)}),
+                    mu, lam)
+                expected = [line.coeff_monomial(mu ** (3 - k) * lam**k) for k in range(4)]
+                got = _restrict_to_line(he, base, direction)
+                assert all(type(c) is Fraction for c in got)
+                assert got == [Fraction(int(c.p), int(c.q)) for c in expected]
 
 
 class TestInvolutionStep:

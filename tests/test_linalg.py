@@ -1,11 +1,14 @@
+import gc
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
+from logcubic.cubics import hesse_cubic, hessian_curve
 from logcubic.errors import MatrixShapeError, ResultantInputError
 from logcubic.forms import constant_form, parse_form, zero_form
 from logcubic.linalg import ExactMatrix, det_form_matrix, sylvester_resultant
+from logcubic.sheaf import cayleyan_cubic
 
 from conftest import rand_form, rand_fraction
 
@@ -186,6 +189,19 @@ class TestFormDeterminant:
     def test_shape_validation(self):
         with pytest.raises(MatrixShapeError):
             det_form_matrix([[constant_form(1)], [constant_form(2)]])
+
+    def test_leaves_no_reference_cycles(self):
+        # With the collector off, anything a call leaves for it would show
+        # in the count of unreachable objects collect() finds afterwards.
+        for f in (hesse_cubic(2), parse_form("2*z0^3 - z0^2*z1 + 3*z0*z1*z2 + z1^3 - 5*z2^3")):
+            gc.collect()
+            gc.disable()
+            try:
+                hessian_curve(f)
+                cayleyan_cubic(f)
+                assert gc.collect() == 0
+            finally:
+                gc.enable()
 
 
 # -- Sylvester resultants --------------------------------------------------------
