@@ -322,8 +322,8 @@ def substitute_linear(f: TernaryForm, matrix: Sequence[Sequence[Scalar]]) -> Ter
 
 def projectively_equal(f: TernaryForm, g: TernaryForm) -> bool:
     """Exact projective equality: one form is a nonzero rational multiple of
-    the other.  Decided by cross-multiplying leading coefficients; no
-    tolerance is involved.
+    the other.  Decided by cross-multiplying coefficient vectors with
+    :func:`vectors_projectively_equal`; no tolerance is involved.
     """
     if f.space != g.space:
         raise SpaceMismatchError("cannot compare forms in different spaces")
@@ -331,12 +331,7 @@ def projectively_equal(f: TernaryForm, g: TernaryForm) -> bool:
         return f.is_zero() and g.is_zero()
     if f.degree != g.degree:
         return False
-    lead = next(m for m in monomial_basis(f.degree) if m in f.terms)
-    cf = f.terms[lead]
-    cg = g.terms.get(lead)
-    if cg is None:
-        return False
-    return f.scale(cg) == g.scale(cf)
+    return vectors_projectively_equal(coefficient_vector(f), coefficient_vector(g))
 
 
 def vectors_projectively_equal(

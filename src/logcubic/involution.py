@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm, prod
+from math import factorial, isfinite, lcm, prod
 from typing import TYPE_CHECKING
 
 from .cubics import hessian_curve
@@ -246,10 +246,14 @@ def check_involution(
 
     Points whose polar Gram matrix fails the rank-2 test (in either the
     first or the second application) are filtered out; fewer than n/2
-    surviving samples raises rather than reporting a hollow pass.
+    surviving samples raises rather than reporting a hollow pass.  So does
+    n < 1, before any sampling; a tolerance that is not finite and positive
+    raises ZeroInputError.
     """
-    if tol <= 0:
-        raise ZeroInputError("tolerance must be positive")
+    if not (isfinite(tol) and tol > 0):
+        raise ZeroInputError(f"tolerance must be finite and positive, got {tol}")
+    if n < 1:
+        raise InsufficientSamplesError(f"need at least 1 sampling line, got {n}")
     candidates = sample_hessian_points(f, n, seed)
     max_err = 0.0
     min_fix = float("inf")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .cubics import _syzygy_matrix, is_smooth_cubic
@@ -22,6 +21,7 @@ from .forms import (
     DUAL,
     TernaryForm,
     coefficient_vector,
+    constant_form,
     monomial_basis,
     partial_derivative,
     variable,
@@ -98,47 +98,32 @@ def splitting_type(f: TernaryForm, alpha: TernaryForm) -> tuple[int, int]:
 
 
 def cayleyan_cubic(f: TernaryForm) -> TernaryForm:
-    """The jumping-line locus of f as an exact cubic in dual coordinates.
-
-    Computed as the determinant of the jumping matrix with alpha symbolic,
-    expanded by generalized Laplace along the three constant columns (the
-    partial-derivative columns), so each summand is a rational 3x3 minor
-    times a 3x3 determinant of dual linear forms.  The overall sign is fixed
-    by the column order z0*a, z1*a, z2*a, d0 f, d1 f, d2 f.  Raises
-    SingularCurveError on a singular cubic.
+    """The jumping-line locus of f as an exact cubic in dual coordinates:
+    the determinant of the symbolic jumping matrix, whose columns are
+    z0*a, z1*a, z2*a, d0 f, d1 f, d2 f (as in :func:`jumping_matrix`) with
+    the line a = a0 z0 + a1 z1 + a2 z2 left symbolic.  Evaluating it at a
+    rational line gives that line's jumping-matrix determinant, sign
+    included.  Raises SingularCurveError on a singular cubic.
     """
     _require_smooth(f)
 
-    # Symbolic block: entry (row m, col i) is the dual linear form giving
+    # Symbolic columns: entry (row m, col i) is the dual linear form giving
     # the coefficient of basis monomial m in z_i * (a0 z0 + a1 z1 + a2 z2);
     # the product z_i z_j contributes a_j to the row of that monomial.
     basis2 = monomial_basis(2)
-    symbolic = [[TernaryForm(1, {}, DUAL) for _ in range(3)] for _ in range(6)]
+    rows = [[TernaryForm(1, {}, DUAL) for _ in range(3)] for _ in range(6)]
     for i in range(3):
         for j in range(3):
             mono = [0, 0, 0]
             mono[i] += 1
             mono[j] += 1
-            row = basis2.index(tuple(mono))
-            symbolic[row][i] = symbolic[row][i] + variable(j, DUAL)
+            m = basis2.index(tuple(mono))
+            rows[m][i] = rows[m][i] + variable(j, DUAL)
 
-    const_block = [coefficient_vector(partial_derivative(f, i)) for i in range(3)]
-    const_rows = [[const_block[i][r] for i in range(3)] for r in range(6)]
-
-    total = TernaryForm(3, {}, DUAL)
-    for rows in combinations(range(6), 3):
-        const_minor = ExactMatrix([const_rows[r] for r in rows]).determinant()
-        if const_minor == 0:
-            continue
-        complement = [r for r in range(6) if r not in rows]
-        sym_minor = det_form_matrix([symbolic[r] for r in complement])
-        if sym_minor.is_zero():
-            continue
-        term = sym_minor.scale(const_minor)
-        if sum(rows) % 2 == 1:
-            term = -term
-        total = total + term
-    return total
+    partials = [coefficient_vector(partial_derivative(f, i)) for i in range(3)]
+    for r, row in enumerate(rows):
+        row.extend(constant_form(partials[i][r], DUAL) for i in range(3))
+    return det_form_matrix(rows)
 
 
 def canonical_normal(vector: Sequence[Fraction]) -> HyperplaneNormal:

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
 
 from .cubics import hesse_cubic, hesse_pencil_split
 from .errors import (
@@ -37,6 +36,7 @@ from .forms import (
     monomial_basis,
     monomial_form,
     projectively_equal,
+    variable,
     vectors_projectively_equal,
 )
 from .sheaf import HyperplaneNormal, cayleyan_cubic, jacobi_degree3
@@ -192,14 +192,6 @@ def _reconstruct(inv: SheafInvariants) -> tuple[Fraction, Fraction, CandidateSet
     return matches[0], s, candidates
 
 
-def _upoly_mul(a: Sequence[Fraction], b: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return tuple(out)
-
-
 def cayleyan_singularity_identity() -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
     """Both sides of the exact identity (t^3+2)^3 - (3t)^3 = (t^3-1)^2 * (t^3+8)
     as coefficient tuples in ascending powers of t.
@@ -207,14 +199,15 @@ def cayleyan_singularity_identity() -> tuple[tuple[Fraction, ...], tuple[Fractio
     The left side is the numerator of s^3 - 1 for s = (t^3+2)/(3t), so its
     factorization shows the jumping-line cubic is singular exactly at the
     singular members (t^3 = 1) and the j = 0 locus (t^3 = -8, plus t = 0).
+    Both sides are built as forms of degree 9 with t = z0, homogenized by
+    z1, so the coefficient of t^k sits at the monomial z0^k * z1^(9-k).
     """
-    t3_plus_2 = (Fraction(2), Fraction(0), Fraction(0), Fraction(1))
-    lhs = list(_upoly_mul(_upoly_mul(t3_plus_2, t3_plus_2), t3_plus_2))
-    lhs[3] -= 27
-    t3_minus_1 = (Fraction(-1), Fraction(0), Fraction(0), Fraction(1))
-    t3_plus_8 = (Fraction(8), Fraction(0), Fraction(0), Fraction(1))
-    rhs = _upoly_mul(_upoly_mul(t3_minus_1, t3_minus_1), t3_plus_8)
-    return tuple(lhs), tuple(rhs)
+    t, u = variable(0), variable(1)
+    lhs = (t**3 + 2 * u**3) ** 3 - 27 * t**3 * u**6
+    rhs = (t**3 - u**3) ** 2 * (t**3 + 8 * u**3)
+    return tuple(
+        tuple(side.coefficient((k, 9 - k, 0)) for k in range(10)) for side in (lhs, rhs)
+    )
 
 
 def counterexample_check(a: Scalar, b: Scalar, c: Scalar) -> bool:

@@ -19,6 +19,16 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def strict_json(text: str):
+    """Parse JSON as the standard defines it: NaN and Infinity, which
+    json.dumps writes for non-finite floats, are refused."""
+
+    def refuse(name):
+        raise ValueError(f"not valid JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestCayleyanCommand:
     def test_hesse_two_json(self, capsys):
         code, report, _ = run_json(capsys, "cayleyan", "--hesse-t", "2")
@@ -240,3 +250,43 @@ class TestDeterminismAndErrors:
         code, report, _ = run_json(capsys, "cayleyan", "--form", "z0^2 + z1")
         assert code == 1
         assert report["error"]["category"] == "inhomogeneous"
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["analyze", "--hesse-t", "2"], 0),
+            (["cayleyan", "--hesse-t", "2"], 0),
+            (["jump-line", "--hesse-t", "2", "--alpha", "z0 - z1"], 0),
+            (["jacobi", "--hesse-t", "2"], 0),
+            (["reconstruct", "--hesse-t", "1/2"], 0),
+            (["counterexample", "--abc", "2,3,-5"], 0),
+            (["involution", "--hesse-t", "2", "--samples", "20", "--seed", "5"], 0),
+            (["verify-identities"], 0),
+            (["chern", "-d", "3", "-k", "1"], 0),
+            (["sweep", "--t-values", "0,1,2,-2"], 0),
+            (["involution", "--hesse-t", "2", "--samples", "0"], 1),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+    )
+    def test_stdout_is_strict_json(self, capsys, argv, code):
+        got, out, _ = run_cli(capsys, *argv, "--json")
+        assert got == code
+        report = strict_json(out)
+        assert report["status"] == ("ok" if code == 0 else "error")
+
+    @pytest.mark.parametrize(
+        "argv, category",
+        [
+            (["--samples", "0"], "insufficient-samples"),
+            (["--samples", "-3"], "insufficient-samples"),
+            (["--tol", "nan"], "zero-input"),
+            (["--tol", "inf"], "zero-input"),
+        ],
+        ids=["samples-0", "samples-negative", "tol-nan", "tol-inf"],
+    )
+    def test_involution_refusals(self, capsys, argv, category):
+        code, out, _ = run_cli(capsys, "involution", "--hesse-t", "2", *argv, "--json")
+        assert code == 1
+        assert strict_json(out)["error"]["category"] == category

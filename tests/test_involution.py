@@ -163,8 +163,22 @@ class TestCheckInvolution:
             check_involution(hesse_cubic(0), 100, 1e-8, seed=3)
 
     def test_zero_tolerance_rejected(self):
-        with pytest.raises(ZeroInputError):
-            check_involution(hesse_cubic(2), 10, 0.0, seed=0)
+        # Also every tolerance that is not finite and positive: nan compares
+        # false with everything, so a plain tol <= 0 test lets it through.
+        for tol in (0.0, -1e-8, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ZeroInputError):
+                check_involution(hesse_cubic(2), 10, tol, seed=0)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_sample_count_below_one_rejected(self, n, monkeypatch):
+        # Refused before any sampling: zero lines would otherwise report a
+        # pass over zero samples with an infinite fixed-point distance.
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled the Hessian curve")
+
+        monkeypatch.setattr("logcubic.involution.sample_hessian_points", no_sampling)
+        with pytest.raises(InsufficientSamplesError):
+            check_involution(hesse_cubic(2), n, 1e-8, seed=0)
 
     def test_report_determinism(self):
         a = check_involution(hesse_cubic(2), 30, 1e-8, seed=11)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from logcubic.cubics import hesse_cubic
+from logcubic.cubics import hesse_cubic, is_smooth_cubic
 from logcubic.errors import (
     DegreeMismatchError,
     SingularCurveError,
@@ -140,9 +140,18 @@ class TestCayleyan:
     def test_value_equals_jumping_determinant(self, rng):
         # Evaluating the symbolic determinant at rational alpha agrees with
         # the Bareiss determinant of the rational jumping matrix: same
-        # number, same sign, at every sample point.
-        for t in (Fraction(0), Fraction(2), Fraction(-3, 4)):
-            f = hesse_cubic(t)
+        # number, same sign, at every sample point, on pencil members and
+        # on seeded smooth cubics off the pencil, with dense integer and
+        # with p/q coefficients.
+        cubics = [hesse_cubic(t) for t in (Fraction(0), Fraction(2), Fraction(-3, 4))]
+        for draw in (lambda: rng.randint(-9, 9), lambda: rand_fraction(rng)):
+            found = 0
+            while found < 3:
+                f = TernaryForm(3, {mono: draw() for mono in monomial_basis(3)})
+                if is_smooth_cubic(f).is_smooth:
+                    cubics.append(f)
+                    found += 1
+        for f in cubics:
             cay = cayleyan_cubic(f)
             for _ in range(10):
                 alpha = rand_alpha(rng)
