@@ -33,12 +33,12 @@ from .forms import (
 )
 from .involution import check_involution
 from .sheaf import (
+    _jumping_rank,
+    _splitting_of_rank,
     cayleyan_cubic,
     chern_data,
     is_stable,
     jacobi_degree3,
-    jumping_matrix,
-    splitting_type,
 )
 from .torelli import (
     CandidateSet,
@@ -132,13 +132,12 @@ def cmd_jump_line(args) -> tuple[dict, dict]:
     f, inputs = _input_cubic(args)
     alpha = parse_form(args.alpha, PRIMAL)
     inputs["alpha"] = args.alpha
-    rank = jumping_matrix(f, alpha).rank()
-    jumping = rank < 6
-    split = splitting_type(f, alpha)
+    rank = _jumping_rank(f, alpha)
+    split = _splitting_of_rank(rank)
     return inputs, {
         "alpha": [str(c) for c in coefficient_vector(alpha)],
         "rank": rank,
-        "jumping": jumping,
+        "jumping": rank < 6,
         "splitting": list(split),
     }
 

@@ -19,6 +19,17 @@ Either way each float is the correctly rounded value of the same exact
 rational as when the partials and restrictions were built from Fractions,
 so the numeric steps see the same inputs bit for bit.
 
+The involution is applied to the whole sample stack at once: one Gram stack
+per curve, one (n, 3, 3) array of polar Gram matrices and one batched SVD
+per application of s, with a rejected sample marked as a NaN row rather
+than raised.  Every float is the one the point-by-point computation gave:
+the batched SVD makes the same LAPACK call on each matrix, the Gram
+matrices come from the same elementwise expression, row norms and inner
+products are the same dot products taken through matmul (np.linalg.norm
+of one vector is a dot of its real and of its imaginary part), and the
+Hessian residual multiplies by complex(c), which is what Fraction * complex
+converts a coefficient c to.
+
 Points are double-precision complex 3-vectors normalized to unit norm; all
 randomness is drawn from an explicit seed.
 """
@@ -86,20 +97,44 @@ class InvolutionReport:
         )
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unconjugated dot products of matching rows of two (n, 3) arrays,
+    through matmul: each equals np.dot of the two rows bit for bit, where an
+    axis-wise sum or np.linalg.norm(..., axis=1) may round differently."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (n, 3) complex array, each equal bit
+    for bit to np.linalg.norm of that row (which sums the dot products of
+    the real and of the imaginary parts)."""
+    import numpy as np
+
+    return np.sqrt(_row_dots(x.real, x.real) + _row_dots(x.imag, x.imag))
+
+
+def _chordal_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Chordal distances between matching rows of two (n, 3) complex
+    arrays; see :func:`chordal_distance`."""
+    u = p / _row_norms(p)[:, None]
+    v = q / _row_norms(q)[:, None]
+    # conj(v) . u per row is np.vdot(v, u).
+    return _row_norms(u - v * _row_dots(v.conj(), u)[:, None])
+
+
 def chordal_distance(p: np.ndarray, q: np.ndarray) -> float:
     """Scale-free distance between projective points: sin of the Hermitian
     angle between the complex lines through p and q.
 
     Computed as the norm of p's component orthogonal to q, which stays
     accurate near zero (the textbook 1 - |<p,q>|^2 form floors out at the
-    square root of machine epsilon)."""
+    square root of machine epsilon).  This is the batch of one of the
+    row-wise distances that :func:`check_involution` takes."""
     import numpy as np
 
-    p = np.asarray(p, dtype=complex)
-    q = np.asarray(q, dtype=complex)
-    u = p / np.linalg.norm(p)
-    v = q / np.linalg.norm(q)
-    return float(np.linalg.norm(u - v * np.vdot(v, u)))
+    p = np.asarray(p, dtype=complex).reshape(1, -1)
+    q = np.asarray(q, dtype=complex).reshape(1, -1)
+    return float(_chordal_rows(p, q)[0])
 
 
 def _restrict_to_line(
@@ -159,6 +194,9 @@ def sample_hessian_points(
     if he.is_zero():
         raise SingularCurveError("Hessian form vanishes identically")
     scale = float(max(abs(c) for c in he.terms.values()))
+    # Fraction * complex computes complex(c) * x, so these terms give the
+    # floats of he.evaluate on a complex point without building Fractions.
+    terms = [(complex(c), e) for e, c in he.terms.items()]
     points: list[np.ndarray] = []
     rng = random.Random(seed)
     for _ in range(n):
@@ -186,8 +224,13 @@ def sample_hessian_points(
             if norm == 0:
                 continue
             vec = vec / norm
-            residual = abs(complex(he.evaluate(tuple(complex(x) for x in vec)))) / scale
-            if residual < RESIDUAL_BOUND:
+            x0, x1, x2 = (complex(x) for x in vec)
+            # Accumulated term by term in he.evaluate's order (sum() may
+            # compensate, and so round differently).
+            value = 0j
+            for c, (e0, e1, e2) in terms:
+                value += c * x0**e0 * x1**e1 * x2**e2
+            if abs(value) / scale < RESIDUAL_BOUND:
                 points.append(vec)
     return points
 
@@ -210,33 +253,45 @@ def _gram_stack(f: TernaryForm) -> np.ndarray:
 
 
 def involution_s(f: TernaryForm, q: np.ndarray) -> np.ndarray:
-    """Singular point of the polar conic of f at a Hessian-curve point q.
+    """Singular point of the polar conic of f at a Hessian-curve point q, or
+    at each row of an (n, 3) stack of points.
 
     The polar's Gram matrix sum q_i G_i must be numerically rank 2: its
     smallest singular value certifies q lies on the Hessian curve, and the
     middle one rules out the doubled-line degeneration.  The kernel
-    direction is the right singular vector of the smallest singular value.
+    direction is the right singular vector of the smallest singular value,
+    normalized to unit norm.
 
-    G_i is the Gram matrix of d_i f, from :func:`_gram_stack`.
+    G_i is the Gram matrix of d_i f, from :func:`_gram_stack`, built once per
+    call; all Gram matrices of a stack go through one batched SVD.  A single
+    point that fails the rank-2 test raises NumericRankError; in a stack the
+    row of such a point is NaN.
     """
     import numpy as np
 
     if f.degree != 3:
         raise ZeroInputError("involution needs a cubic form")
     q = np.asarray(q, dtype=complex)
+    qs = q.reshape(-1, 3)
     grams = _gram_stack(f)
-    gram = sum(q[i] * grams[i] for i in range(3))
+    gram = sum(qs[:, i, None, None] * grams[i] for i in range(3))
     _, sigma, vh = np.linalg.svd(gram)
-    if sigma[0] == 0 or sigma[2] / sigma[0] > RANK_TOLERANCE:
-        raise NumericRankError(
-            "polar Gram matrix is not rank-deficient; point is off the Hessian curve"
-        )
-    if sigma[1] / sigma[0] <= RANK_TOLERANCE:
-        raise NumericRankError(
-            "polar Gram matrix has numeric rank <= 1; singular point not unique"
-        )
-    kernel = np.conj(vh[2])
-    return kernel / np.linalg.norm(kernel)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        off_curve = (sigma[:, 0] == 0) | (sigma[:, 2] / sigma[:, 0] > RANK_TOLERANCE)
+        rank_one = ~off_curve & (sigma[:, 1] / sigma[:, 0] <= RANK_TOLERANCE)
+    if q.ndim == 1:
+        if off_curve[0]:
+            raise NumericRankError(
+                "polar Gram matrix is not rank-deficient; point is off the Hessian curve"
+            )
+        if rank_one[0]:
+            raise NumericRankError(
+                "polar Gram matrix has numeric rank <= 1; singular point not unique"
+            )
+    kernel = np.conj(vh[:, 2])
+    kernel = kernel / _row_norms(kernel)[:, None]
+    kernel[off_curve | rank_one] = np.nan
+    return kernel[0] if q.ndim == 1 else kernel
 
 
 def check_involution(
@@ -249,31 +304,31 @@ def check_involution(
     surviving samples raises rather than reporting a hollow pass.  So does
     n < 1, before any sampling; a tolerance that is not finite and positive
     raises ZeroInputError.
+
+    Each application of s is one call on the whole stack: first on every
+    sampled point, then on the images that passed.
     """
+    import numpy as np
+
     if not (isfinite(tol) and tol > 0):
         raise ZeroInputError(f"tolerance must be finite and positive, got {tol}")
     if n < 1:
         raise InsufficientSamplesError(f"need at least 1 sampling line, got {n}")
-    candidates = sample_hessian_points(f, n, seed)
-    max_err = 0.0
-    min_fix = float("inf")
-    usable = 0
-    for q in candidates:
-        try:
-            sq = involution_s(f, q)
-            ssq = involution_s(f, sq)
-        except NumericRankError:
-            continue
-        usable += 1
-        max_err = max(max_err, chordal_distance(ssq, q))
-        min_fix = min(min_fix, chordal_distance(sq, q))
+    qs = np.array(sample_hessian_points(f, n, seed), dtype=complex).reshape(-1, 3)
+    sqs = involution_s(f, qs)
+    kept = ~np.isnan(sqs[:, 0])
+    qs, sqs = qs[kept], sqs[kept]
+    ssqs = involution_s(f, sqs)
+    kept = ~np.isnan(ssqs[:, 0])
+    qs, sqs, ssqs = qs[kept], sqs[kept], ssqs[kept]
+    usable = len(qs)
     if usable < n / 2:
         raise InsufficientSamplesError(
             f"only {usable} of the required {n / 2:.0f} samples were usable"
         )
     return InvolutionReport(
         samples=usable,
-        max_double_apply_error=max_err,
-        min_fixed_point_distance=min_fix,
+        max_double_apply_error=float(_chordal_rows(ssqs, qs).max()),
+        min_fixed_point_distance=float(_chordal_rows(sqs, qs).min()),
         tolerance=tol,
     )

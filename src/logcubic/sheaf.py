@@ -85,16 +85,32 @@ def jumping_matrix(f: TernaryForm, alpha: TernaryForm) -> ExactMatrix:
     return ExactMatrix.from_columns(columns)
 
 
+def _jumping_rank(f: TernaryForm, alpha: TernaryForm) -> int:
+    """Rank of :func:`jumping_matrix` for a smooth cubic f: below 6 exactly
+    on a jumping line.  Raises SingularCurveError on a singular cubic."""
+    matrix = jumping_matrix(f, alpha)
+    _require_smooth(f)
+    return matrix.rank()
+
+
+def _splitting_of_rank(rank: int) -> tuple[int, int]:
+    """Splitting type read off the jumping-matrix rank: (-1, 1) on a jumping
+    line, (0, 0) otherwise."""
+    return (-1, 1) if rank < 6 else (0, 0)
+
+
 def jumping_line_test(f: TernaryForm, alpha: TernaryForm) -> bool:
     """True exactly when the line alpha = 0 is a jumping line of the
-    logarithmic sheaf of the smooth cubic f."""
-    return jumping_matrix(f, alpha).rank() < 6
+    logarithmic sheaf of the smooth cubic f.  Raises SingularCurveError on a
+    singular cubic."""
+    return _jumping_rank(f, alpha) < 6
 
 
 def splitting_type(f: TernaryForm, alpha: TernaryForm) -> tuple[int, int]:
-    """Restriction type of the normalized sheaf to the line: (-1, 1) on a
-    jumping line, (0, 0) otherwise."""
-    return (-1, 1) if jumping_line_test(f, alpha) else (0, 0)
+    """Restriction type of the normalized sheaf of the smooth cubic f to the
+    line: (-1, 1) on a jumping line, (0, 0) otherwise.  Raises
+    SingularCurveError on a singular cubic."""
+    return _splitting_of_rank(_jumping_rank(f, alpha))
 
 
 def cayleyan_cubic(f: TernaryForm) -> TernaryForm:

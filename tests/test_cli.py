@@ -64,6 +64,18 @@ class TestJumpLineCommand:
         assert report["outputs"]["jumping"] is False
         assert report["outputs"]["splitting"] == [0, 0]
 
+    @pytest.mark.parametrize(
+        "curve",
+        [["--hesse-t", "1", "--alpha", "z0 - z1"],
+         ["--form", "z1^2*z2 - z0^3 - z0^2*z2", "--alpha", "z2"]],
+        ids=["hesse-t-1", "nodal"],
+    )
+    def test_singular_cubic_refused(self, capsys, curve):
+        code, report, _ = run_json(capsys, "jump-line", *curve)
+        assert code == 1
+        assert report["status"] == "error"
+        assert report["error"]["category"] == "singular-curve"
+
 
 class TestReconstructCommand:
     def test_self_test_round_trip(self, capsys):

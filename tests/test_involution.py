@@ -18,6 +18,7 @@ from logcubic.involution import (
     _gram_stack,
     _random_projective_point,
     _restrict_to_line,
+    _row_norms,
     check_involution,
     chordal_distance,
     involution_s,
@@ -127,13 +128,13 @@ class TestInvolutionStep:
 
     def test_rank_one_rejected(self):
         # [1:0:0] on the Fermat Hessian: polar 3 z0^2 has Gram rank 1.
-        with pytest.raises(NumericRankError):
+        with pytest.raises(NumericRankError, match="rank <= 1"):
             involution_s(hesse_cubic(0), np.array([1, 0, 0], dtype=complex))
 
     def test_off_curve_rejected(self):
         # A generic point off the Hessian curve has a full-rank polar Gram.
         q = np.array([1, 1, 1], dtype=complex) / np.sqrt(3)
-        with pytest.raises(NumericRankError):
+        with pytest.raises(NumericRankError, match="off the Hessian curve"):
             involution_s(hesse_cubic(2), q)
 
     def test_double_application_returns(self):
@@ -143,6 +144,88 @@ class TestInvolutionStep:
             ssq = involution_s(f, sq)
             assert chordal_distance(ssq, q) < 1e-10
             assert chordal_distance(sq, q) > 1e-2
+
+
+def reference_chordal_distance(p, q):
+    """The point-by-point chordal distance, through np.linalg.norm."""
+    u = p / np.linalg.norm(p)
+    v = q / np.linalg.norm(q)
+    return float(np.linalg.norm(u - v * np.vdot(v, u)))
+
+
+def reference_check(f, n, seed):
+    """check_involution as a loop over samples: (samples, max double-apply
+    error, min fixed-point distance), or None when too few samples pass."""
+    max_err, min_fix, usable = 0.0, float("inf"), 0
+    for q in sample_hessian_points(f, n, seed):
+        try:
+            sq = involution_s(f, q)
+            ssq = involution_s(f, sq)
+        except NumericRankError:
+            continue
+        usable += 1
+        max_err = max(max_err, reference_chordal_distance(ssq, q))
+        min_fix = min(min_fix, reference_chordal_distance(sq, q))
+    return (usable, max_err, min_fix) if usable >= n / 2 else None
+
+
+class TestBatchedApplication:
+    """Applying s to a stack gives, row for row, the floats of applying it
+    to one point at a time."""
+
+    FERMAT_RANK_ONE = np.array([1, 0, 0], dtype=complex)
+    OFF_CURVE = np.array([1, 1, 1], dtype=complex) / np.sqrt(3)
+
+    def test_rows_equal_single_points(self):
+        for f in seeded_cubics(41, count=4) + [hesse_cubic(0)]:
+            points = sample_hessian_points(f, 6, seed=5)
+            stack = np.array(points + [self.FERMAT_RANK_ONE, self.OFF_CURVE])
+            batch = involution_s(f, stack)
+            assert batch.shape == stack.shape
+            rejected = 0
+            for q, row in zip(stack, batch):
+                try:
+                    single = involution_s(f, q)
+                except NumericRankError:
+                    rejected += 1
+                    assert np.isnan(row).all()
+                    continue
+                assert np.array_equal(row, single)
+            assert rejected >= 1
+        # The rank-1 point of the Fermat cubic is among the NaN rows.
+        assert np.isnan(involution_s(hesse_cubic(0), self.FERMAT_RANK_ONE[None])).all()
+
+    def test_empty_stack(self):
+        assert involution_s(hesse_cubic(2), np.zeros((0, 3), dtype=complex)).shape == (0, 3)
+
+    def test_report_equals_point_by_point_loop(self):
+        for f in seeded_cubics(42, count=3) + [hesse_cubic(0)]:
+            for seed in (0, 1):
+                expected = reference_check(f, 40, seed)
+                if expected is None:
+                    with pytest.raises(InsufficientSamplesError):
+                        check_involution(f, 40, 1e-8, seed)
+                    continue
+                report = check_involution(f, 40, 1e-8, seed)
+                got = (report.samples, report.max_double_apply_error,
+                       report.min_fixed_point_distance)
+                assert [type(x) for x in got] == [int, float, float]
+                assert got == expected
+
+    def test_row_norms_equal_vector_norms(self):
+        rng = np.random.default_rng(43)
+        scale = 10.0 ** rng.uniform(-3, 3, size=(3000, 1))
+        x = (rng.standard_normal((3000, 3)) + 1j * rng.standard_normal((3000, 3))) * scale
+        expected = np.array([np.linalg.norm(row) for row in x])
+        assert np.array_equal(_row_norms(x), expected)
+
+    def test_chordal_distance_equals_reference(self):
+        rng = np.random.default_rng(44)
+        for _ in range(300):
+            p = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+            q = p + 10.0 ** rng.uniform(-14, 0) * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
+            q = q * 10.0 ** rng.uniform(-3, 3)
+            assert chordal_distance(p, q) == reference_chordal_distance(p, q)
 
 
 class TestCheckInvolution:

@@ -101,6 +101,29 @@ class TestJumpingLine:
                 assert jumping_line_test(f, alpha) == (value == 0)
 
 
+class TestSingularCubicsRefused:
+    """The jumping-line questions are about the sheaf of a smooth cubic; the
+    raw jumping matrix is built for any cubic."""
+
+    @pytest.mark.parametrize(
+        "f, alpha",
+        [(hesse_cubic(1), "z0 - z1"), (parse_form(NODAL), "z2"), (parse_form(CUSPIDAL), "z0")],
+        ids=["hesse-t-1", "nodal", "cuspidal"],
+    )
+    def test_jumping_line_questions_raise(self, f, alpha):
+        alpha = parse_form(alpha)
+        with pytest.raises(SingularCurveError):
+            jumping_line_test(f, alpha)
+        with pytest.raises(SingularCurveError):
+            splitting_type(f, alpha)
+        matrix = jumping_matrix(f, alpha)
+        assert (matrix.rows, matrix.cols) == (6, 6)
+
+    def test_input_checks_come_first(self):
+        with pytest.raises(ZeroInputError):
+            jumping_line_test(parse_form(NODAL), parse_form("0"))
+
+
 class TestSplittingType:
     def test_jumping_and_generic(self):
         fermat = hesse_cubic(0)
