@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -65,6 +66,23 @@ def _rational_list(text: str) -> list[Fraction]:
     return [_rational(piece) for piece in items]
 
 
+def _json_rational(value) -> Fraction:
+    """An exact rational from a JSON entry, which must be a p/q string or an
+    integer: a float would be read as its binary double."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise TypeError(f"not a p/q string or an integer: {value!r}")
+    return Fraction(value)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads -p/q and lists led by a negative number (-5/3, -2,1) as values,
+    where argparse sees unknown flags; subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+(/\d+)?(,|$)")
+
+
 def form_record(form: TernaryForm) -> dict:
     """JSON record of a form: degree tag plus coefficients in basis order."""
     return {
@@ -77,7 +95,7 @@ def form_record(form: TernaryForm) -> dict:
 
 def form_from_record(record: dict) -> TernaryForm:
     return form_from_coefficients(
-        [Fraction(c) for c in record["coeffs"]],
+        [_json_rational(c) for c in record["coeffs"]],
         int(record["degree"]),
         record.get("space", PRIMAL),
     )
@@ -165,8 +183,8 @@ def cmd_reconstruct(args) -> tuple[dict, dict]:
             with open(args.hyperplane_file) as handle:
                 hyp_record = json.load(handle)
             cayleyan = form_from_record(cay_record)
-            normal = tuple(Fraction(c) for c in hyp_record["normal"])
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            normal = tuple(_json_rational(c) for c in hyp_record["normal"])
+        except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ZeroInputError(f"cannot read invariant files: {exc}") from exc
         if len(normal) != 10:
             raise ZeroInputError("hyperplane file must list 10 rationals")
@@ -272,7 +290,7 @@ _SWEEP_COLUMNS = ["t", "smooth", "j", "s", "cayleyan_smooth", "stable", "note"]
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="logcubic",
         description=(
             "Exact invariants of plane cubics: jumping lines, Cayleyan "

@@ -9,15 +9,14 @@ the kernel direction of the numeric Gram matrix, and reports the worst
 double-application error and the closest approach to a fixed point in the
 chordal metric.
 
-The exact steps round to floats in one place each.  The restriction of the
-Hessian to a line is expanded in integers, after scaling the Hessian by
-its common denominator, and divided back once per coefficient.  The Gram
-matrices of the three partials are read off the ten cubic coefficients:
-entry (i, j, k) is d_i d_j d_k f / 2, that is c*e0!*e1!*e2!/2 for the
-coefficient c of the monomial z^e = z_i*z_j*z_k, rounded to float once.
-Either way each float is the correctly rounded value of the same exact
-rational as when the partials and restrictions were built from Fractions,
-so the numeric steps see the same inputs bit for bit.
+The exact steps round to floats in one place each.  The Hessian H is
+scaled by the common denominator den of its coefficients, and the integer
+gradient g of den*H is built once per curve.  By Euler's identity the
+restriction of H to the line through the integer points p and d has the
+coefficients p.g(p)/3, d.g(p), p.g(d) and d.g(d)/3 over den, where both
+divisions by 3 are exact.  The Gram matrices of the three partials of f
+come from :func:`logcubic.cubics.gram_matrix`.  Each float the numeric
+steps see is the correctly rounded value of one exact rational.
 
 The involution is applied to the whole sample stack at once: one Gram stack
 per curve, one (n, 3, 3) array of polar Gram matrices and one batched SVD
@@ -39,18 +38,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import factorial, isfinite, lcm, prod
+from math import isfinite, lcm
 from typing import TYPE_CHECKING
 
-from .cubics import hessian_curve
+from .cubics import gram_matrix, hessian_curve
 from .errors import (
     InsufficientSamplesError,
     NumericRankError,
     SingularCurveError,
     ZeroInputError,
 )
-from .forms import Monomial, TernaryForm
+from .forms import Monomial, TernaryForm, partial_derivative
 
 # numpy is imported inside the functions that use it, so that importing
 # logcubic, and every command but `involution`, does not load it.
@@ -62,22 +60,6 @@ if TYPE_CHECKING:
 # rank-2 test of the Gram matrix.
 RESIDUAL_BOUND = 1e-10
 RANK_TOLERANCE = 1e-6
-
-
-def _gram_slots() -> dict[Monomial, tuple[int, tuple[int, ...]]]:
-    """For each cubic monomial z^e: the weight e0!*e1!*e2! and the flat
-    indices 9i + 3j + k of the (3, 3, 3) Gram stack with z_i*z_j*z_k = z^e."""
-    slots: dict[Monomial, list[int]] = {}
-    for flat, ijk in enumerate(product(range(3), repeat=3)):
-        mono = tuple(ijk.count(v) for v in range(3))
-        slots.setdefault(mono, []).append(flat)
-    return {
-        mono: (prod(factorial(e) for e in mono), tuple(flats))
-        for mono, flats in slots.items()
-    }
-
-
-_GRAM_SLOTS = _gram_slots()
 
 
 @dataclass(frozen=True)
@@ -137,38 +119,40 @@ def chordal_distance(p: np.ndarray, q: np.ndarray) -> float:
     return float(_chordal_rows(p, q)[0])
 
 
-def _restrict_to_line(
-    form: TernaryForm, base: tuple[int, ...], direction: tuple[int, ...]
-) -> list[Fraction]:
-    """Exact coefficients c_k of form(mu*base + lam*direction) as a binary
-    form sum c_k mu^(d-k) lam^k, returned ascending in k.
-
-    The form is scaled by the common denominator of its coefficients, so the
-    expansion runs in integers and each c_k is one Fraction at the end."""
-    d = form.degree
+def _integer_gradient(form: TernaryForm) -> tuple[int, list[list[tuple[int, Monomial]]]]:
+    """The common denominator den of the form's coefficients, and the
+    gradient of den*form with each partial as (integer, exponents) terms."""
     den = lcm(*(c.denominator for c in form.terms.values()))
-    # powers[i][e]: coefficients of (mu*p_i + lam*q_i)^e, ascending in lam.
-    powers = []
-    for p_i, q_i in zip(base, direction):
-        rows = [[1]]
-        for _ in range(d):
-            prev = rows[-1]
-            rows.append([p_i * a + q_i * b for a, b in zip(prev + [0], [0] + prev)])
-        powers.append(rows)
-    out = [0] * (d + 1)
-    for mono, coeff in form.terms.items():
-        acc = [coeff.numerator * (den // coeff.denominator)]
-        for rows, e in zip(powers, mono):
-            if e == 0:
-                continue
-            expanded = [0] * (len(acc) + e)
-            for a, x in enumerate(acc):
-                for b, y in enumerate(rows[e]):
-                    expanded[a + b] += x * y
-            acc = expanded
-        for k, c in enumerate(acc):
-            out[k] += c
-    return [Fraction(c, den) for c in out]
+    scaled = form.scale(den)
+    return den, [
+        [(c.numerator, e) for e, c in partial_derivative(scaled, i).terms.items()]
+        for i in range(3)
+    ]
+
+
+def _restrict_to_line(
+    den: int, grad: list[list[tuple[int, Monomial]]],
+    base: tuple[int, ...], direction: tuple[int, ...],
+) -> list[Fraction]:
+    """Exact coefficients c_k of H(mu*base + lam*direction) as a binary
+    cubic sum c_k mu^(3-k) lam^k, returned ascending in k.
+
+    den and grad are :func:`_integer_gradient` of H.  With g = grad(den*H),
+    p = base and d = direction, Euler's identity gives den*c =
+    [p.g(p)/3, d.g(p), p.g(d), d.g(d)/3]; both divisions by 3 are exact in
+    integers."""
+
+    def at(point):
+        x0, x1, x2 = point
+        return [sum(c * x0**e0 * x1**e1 * x2**e2 for c, (e0, e1, e2) in terms)
+                for terms in grad]
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    gp, gd = at(base), at(direction)
+    scaled = [dot(base, gp) // 3, dot(direction, gp), dot(base, gd), dot(direction, gd) // 3]
+    return [Fraction(c, den) for c in scaled]
 
 
 def _random_projective_point(rng: random.Random) -> tuple[int, ...]:
@@ -185,14 +169,16 @@ def sample_hessian_points(
     lines.  Each returned point is unit-norm complex with normalized
     Hessian residual below RESIDUAL_BOUND.
 
-    The Hessian's restriction to each line is exact (an integer expansion,
-    one Fraction per coefficient) and is rounded to floats only when handed
-    to the root finder; the residual is evaluated on the complex point."""
+    The Hessian's integer gradient is built once; the restriction to each
+    line is exact (four dot products of its values at two points, one
+    Fraction per coefficient) and is rounded to floats only when handed to
+    the root finder; the residual is evaluated on the complex point."""
     import numpy as np
 
     he = hessian_curve(f)
     if he.is_zero():
         raise SingularCurveError("Hessian form vanishes identically")
+    den, grad = _integer_gradient(he)
     scale = float(max(abs(c) for c in he.terms.values()))
     # Fraction * complex computes complex(c) * x, so these terms give the
     # floats of he.evaluate on a complex point without building Fractions.
@@ -209,7 +195,7 @@ def sample_hessian_points(
         )
         if all(c == 0 for c in cross):
             continue
-        coeffs = _restrict_to_line(he, base, direction)
+        coeffs = _restrict_to_line(den, grad, base, direction)
         base_vec = np.array([float(c) for c in base], dtype=complex)
         dir_vec = np.array([float(c) for c in direction], dtype=complex)
         # Exact zero leading coefficient: the direction point itself is on
@@ -236,20 +222,14 @@ def sample_hessian_points(
 
 
 def _gram_stack(f: TernaryForm) -> np.ndarray:
-    """The (3, 3, 3) float array whose slice i is the Gram matrix G_i of
-    d_i f, with entries d_i d_j d_k f / 2 read off the ten coefficients of
-    the cubic f.  Each entry is one correctly rounded integer division, so
-    it equals the float of the exact partial's Gram entry."""
+    """The (3, 3, 3) float array whose slice i is the Gram matrix of d_i f,
+    from :func:`logcubic.cubics.gram_matrix`, each exact entry rounded to
+    float once."""
     import numpy as np
 
-    flat = [0.0] * 27
-    for mono, coeff in f.terms.items():
-        weight, slots = _GRAM_SLOTS[mono]
-        # int / int rounds correctly, exactly as float(Fraction) does.
-        value = coeff.numerator * weight / (2 * coeff.denominator)
-        for slot in slots:
-            flat[slot] = value
-    return np.array(flat).reshape(3, 3, 3)
+    return np.array(
+        [gram_matrix(partial_derivative(f, i)).entries for i in range(3)], dtype=float
+    )
 
 
 def involution_s(f: TernaryForm, q: np.ndarray) -> np.ndarray:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from logcubic.cli import main
+import logcubic
+from logcubic.cli import form_record, main
 from logcubic.forms import DUAL, parse_form, projectively_equal
 from logcubic.torelli import forward_invariants
 
@@ -90,8 +95,6 @@ class TestReconstructCommand:
 
     def test_file_mode(self, capsys, tmp_path):
         inv = forward_invariants(Fraction(1, 2))
-        from logcubic.cli import form_record
-
         cay_path = tmp_path / "cayleyan.json"
         hyp_path = tmp_path / "hyperplane.json"
         cay_path.write_text(json.dumps(form_record(inv.cayleyan)))
@@ -131,6 +134,48 @@ class TestReconstructCommand:
         assert code == 1
         assert report["status"] == "error"
         assert report["error"]["category"] == "cayleyan-singular"
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda cay, hyp: ([cay], hyp),
+            lambda cay, hyp: (cay, {"normal": [None] + hyp["normal"][1:]}),
+            lambda cay, hyp: (cay, [hyp]),
+            lambda cay, hyp: ({**cay, "coeffs": [0.1] + cay["coeffs"][1:]}, hyp),
+            lambda cay, hyp: ({**cay, "coeffs": [1.0] + cay["coeffs"][1:]}, hyp),
+            lambda cay, hyp: (cay, {"normal": [True] + hyp["normal"][1:]}),
+            lambda cay, hyp: (cay, {"normal": ["1/0"] + hyp["normal"][1:]}),
+        ],
+        ids=["cayleyan-list", "normal-null", "hyperplane-list", "coeff-float",
+             "coeff-integral-float", "normal-bool", "normal-zero-denominator"],
+    )
+    def test_malformed_files_refused(self, capsys, tmp_path, corrupt):
+        # Entries must be p/q strings or integers; anything else, and any
+        # file of the wrong shape, is zero-input with valid JSON on stdout.
+        inv = forward_invariants(Fraction(1, 2))
+        cay = form_record(inv.cayleyan)
+        hyp = {"normal": [str(x) for x in inv.hyperplane]}
+        cay, hyp = corrupt(cay, hyp)
+        cay_path = tmp_path / "cayleyan.json"
+        hyp_path = tmp_path / "hyperplane.json"
+        cay_path.write_text(json.dumps(cay))
+        hyp_path.write_text(json.dumps(hyp))
+        code, out, _ = run_cli(capsys, "reconstruct", "--cayleyan-file", str(cay_path),
+                               "--hyperplane-file", str(hyp_path), "--json")
+        assert code == 1
+        assert strict_json(out)["error"]["category"] == "zero-input"
+
+    def test_integer_entries_accepted(self, capsys, tmp_path):
+        inv = forward_invariants(Fraction(2))
+        assert all(x.denominator == 1 for x in inv.hyperplane)
+        cay_path = tmp_path / "cayleyan.json"
+        hyp_path = tmp_path / "hyperplane.json"
+        cay_path.write_text(json.dumps(form_record(inv.cayleyan)))
+        hyp_path.write_text(json.dumps({"normal": [int(x) for x in inv.hyperplane]}))
+        code, report, _ = run_json(capsys, "reconstruct", "--cayleyan-file", str(cay_path),
+                                   "--hyperplane-file", str(hyp_path))
+        assert code == 0
+        assert report["outputs"]["reconstructed_t"] == "2"
 
 
 class TestOtherCommands:
@@ -242,11 +287,32 @@ class TestDeterminismAndErrors:
         assert report["error"]["category"] == "singular-curve"
 
     def test_usage_error_exit_two(self, capsys):
-        # No input cubic; --seed belongs to involution alone.
-        for argv in (["cayleyan"], ["analyze", "--hesse-t", "2", "--seed", "4"]):
+        # No input cubic; --seed belongs to involution alone, also after a
+        # negative value.
+        for argv in (["cayleyan"], ["analyze", "--hesse-t", "2", "--seed", "4"],
+                     ["analyze", "--hesse-t", "-5/3", "--seed", "4"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "option, value, argv",
+        [
+            ("--hesse-t", "-5/3", ["analyze"]),
+            ("--hesse-t", "-1/2", ["reconstruct"]),
+            ("--t-values", "-2,1", ["sweep"]),
+            ("--abc", "-2,3,5", ["counterexample"]),
+        ],
+        ids=["analyze", "reconstruct", "sweep", "counterexample"],
+    )
+    def test_negative_values(self, capsys, option, value, argv):
+        # A negative p/q, or a list led by a negative number, is a value
+        # and reads as the --option=value form does.
+        code, out, _ = run_cli(capsys, *argv, option, value, "--json")
+        assert code == 0
+        _, joined, _ = run_cli(capsys, *argv, f"{option}={value}", "--json")
+        assert out == joined
+        assert strict_json(out)["status"] == "ok"
 
     def test_unknown_command_exit_two(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -302,3 +368,43 @@ class TestStrictJson:
         code, out, _ = run_cli(capsys, "involution", "--hesse-t", "2", *argv, "--json")
         assert code == 1
         assert strict_json(out)["error"]["category"] == category
+
+
+# Runs the CLI module as `python -m logcubic.cli ARGS` does, or, with no
+# arguments, only imports it; then reports whether numpy was loaded.
+NUMPY_PROBE = """
+import runpy, sys
+if len(sys.argv) > 1:
+    try:
+        runpy.run_module("logcubic.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        assert exc.code == 0, exc.code
+else:
+    import logcubic.cli
+print("numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+class TestLazyNumpy:
+    """numpy is imported by the `involution` command alone, so that the exact
+    commands start without it."""
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            ([], False),
+            (["analyze", "--hesse-t", "2", "--json"], False),
+            (["involution", "--hesse-t", "2", "--samples", "10", "--json"], True),
+        ],
+        ids=["import", "analyze", "involution"],
+    )
+    def test_numpy_loaded_only_by_involution(self, argv, loaded):
+        src = str(Path(logcubic.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.splitlines()[-1] == str(loaded)
+        if argv:
+            assert strict_json(proc.stdout)["status"] == "ok"

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from logcubic.forms import TernaryForm, monomial_basis, parse_form, partial_deri
 from logcubic.involution import (
     InvolutionReport,
     _gram_stack,
+    _integer_gradient,
     _random_projective_point,
     _restrict_to_line,
     _row_norms,
@@ -86,36 +88,73 @@ class TestSampling:
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def sympy_form(form: TernaryForm, z) -> sympy.Expr:
+    return sum(sympy.Rational(c.numerator, c.denominator) * z[0] ** e0 * z[1] ** e1
+               * z[2] ** e2 for (e0, e1, e2), c in form.terms.items())
+
+
 class TestExactPreSteps:
-    """The exact steps before the numerics, against the constructions they
-    replace: Gram matrices of the exact partials, and sympy's expansion."""
+    """The exact steps before the numerics, against sympy's derivatives and
+    expansions."""
 
     def test_gram_stack_matches_partials(self):
+        # Entry (i, j, k) of the stack is d_i d_j d_k f / 2.
+        z = sympy.symbols("z0 z1 z2")
         for f in seeded_cubics(31):
-            oracle = np.array(
-                [[[float(x) for x in row] for row in gram_matrix(partial_derivative(f, i)).entries]
-                 for i in range(3)]
-            )
+            poly = sympy_form(f, z)
+            oracle = np.empty((3, 3, 3))
+            for i, j, k in product(range(3), repeat=3):
+                entry = sympy.diff(poly, z[i], z[j], z[k]) / 2
+                oracle[i, j, k] = float(Fraction(int(entry.p), int(entry.q)))
             assert np.array_equal(_gram_stack(f), oracle)
 
-    def test_restriction_matches_sympy(self):
+    def check_restrictions(self, he, lines):
+        """_restrict_to_line of he on each (base, direction) pair equals the
+        coefficients of sympy's expansion, as Fractions."""
         z = sympy.symbols("z0 z1 z2")
         mu, lam = sympy.symbols("mu lam")
+        poly = sympy_form(he, z)
+        den, grad = _integer_gradient(he)
+        for base, direction in lines:
+            line = sympy.Poly(
+                poly.xreplace({z[i]: mu * base[i] + lam * direction[i] for i in range(3)}),
+                mu, lam)
+            expected = [line.coeff_monomial(mu ** (3 - k) * lam**k) for k in range(4)]
+            got = _restrict_to_line(den, grad, base, direction)
+            assert all(type(c) is Fraction for c in got)
+            assert got == [Fraction(int(c.p), int(c.q)) for c in expected]
+
+    def test_restriction_matches_sympy(self):
+        # Also p/q cubics whose Hessians have denominators above 10^12.
+        big = random.Random(35)
+        large = [TernaryForm(3, {m: Fraction(big.randint(-10**6, 10**6), big.randint(1, 10**6))
+                                 for m in monomial_basis(3)}) for _ in range(4)]
         rng = random.Random(32)
-        for f in seeded_cubics(33, count=4):
-            he = hessian_curve(f)
-            poly = sum(sympy.Rational(c.numerator, c.denominator) * z[0] ** e0 * z[1] ** e1
-                       * z[2] ** e2 for (e0, e1, e2), c in he.terms.items())
-            for _ in range(5):
-                base = _random_projective_point(rng)
-                direction = _random_projective_point(rng)
-                line = sympy.Poly(
-                    poly.xreplace({z[i]: mu * base[i] + lam * direction[i] for i in range(3)}),
-                    mu, lam)
-                expected = [line.coeff_monomial(mu ** (3 - k) * lam**k) for k in range(4)]
-                got = _restrict_to_line(he, base, direction)
-                assert all(type(c) is Fraction for c in got)
-                assert got == [Fraction(int(c.p), int(c.q)) for c in expected]
+        assert all(max(c.denominator for c in hessian_curve(f).terms.values()) > 10**12
+                   for f in large)
+        for f in seeded_cubics(33, count=4) + large:
+            lines = [(_random_projective_point(rng), _random_projective_point(rng))
+                     for _ in range(5)]
+            self.check_restrictions(hessian_curve(f), lines)
+
+    def test_restriction_direction_on_curve(self):
+        # Directions on the Hessian make the leading coefficient exactly 0:
+        # coordinate points on the Fermat Hessian 216*z0*z1*z2, and the flex
+        # points [1:-1:0] and permutations, which every pencil Hessian holds.
+        rng = random.Random(34)
+        fermat = hessian_curve(hesse_cubic(0))
+        cases = [(fermat, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, -1, 0)]),
+                 (hessian_curve(hesse_cubic(2)), [(1, -1, 0), (0, 1, -1), (-1, 0, 1)]),
+                 (hessian_curve(hesse_cubic(Fraction(-11, 8))), [(1, -1, 0), (0, 1, -1)])]
+        for he, directions in cases:
+            lines = [(_random_projective_point(rng), d) for d in directions]
+            if he == fermat:
+                lines.append(((0, 1, -1), (1, 0, 0)))  # base on the curve too
+            self.check_restrictions(he, lines)
+            den, grad = _integer_gradient(he)
+            for base, direction in lines:
+                assert he.evaluate(direction) == 0
+                assert _restrict_to_line(den, grad, base, direction)[-1] == 0
 
 
 class TestInvolutionStep:
