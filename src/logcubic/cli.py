@@ -74,6 +74,14 @@ def _json_rational(value) -> Fraction:
     return Fraction(value)
 
 
+def _json_rationals(values) -> list[Fraction]:
+    """Exact rationals from a JSON array; anything else is refused, where
+    iterating a string would read each of its characters as a digit."""
+    if not isinstance(values, list):
+        raise TypeError(f"not a JSON list: {values!r}")
+    return [_json_rational(c) for c in values]
+
+
 class _Parser(argparse.ArgumentParser):
     """Reads -p/q and lists led by a negative number (-5/3, -2,1) as values,
     where argparse sees unknown flags; subparsers inherit the class."""
@@ -95,7 +103,7 @@ def form_record(form: TernaryForm) -> dict:
 
 def form_from_record(record: dict) -> TernaryForm:
     return form_from_coefficients(
-        [_json_rational(c) for c in record["coeffs"]],
+        _json_rationals(record["coeffs"]),
         int(record["degree"]),
         record.get("space", PRIMAL),
     )
@@ -183,7 +191,7 @@ def cmd_reconstruct(args) -> tuple[dict, dict]:
             with open(args.hyperplane_file) as handle:
                 hyp_record = json.load(handle)
             cayleyan = form_from_record(cay_record)
-            normal = tuple(_json_rational(c) for c in hyp_record["normal"])
+            normal = tuple(_json_rationals(hyp_record["normal"]))
         except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise ZeroInputError(f"cannot read invariant files: {exc}") from exc
         if len(normal) != 10:

@@ -18,6 +18,16 @@ divisions by 3 are exact.  The Gram matrices of the three partials of f
 come from :func:`logcubic.cubics.gram_matrix`.  Each float the numeric
 steps see is the correctly rounded value of one exact rational.
 
+The roots of all regular sampling lines (nonzero leading and constant
+coefficient) come from one np.linalg.eigvals call on the stack of their
+companion matrices, built as np.roots builds them; the batched call makes
+the same LAPACK call on each matrix that np.roots makes.  A degenerate line
+keeps np.roots, which strips its zero coefficients: in the stack a zero
+leading coefficient would put infinities, and a zero constant coefficient
+would move the root 0 from last place to first.  The residual of every
+candidate point is taken at once in Python's unfused complex arithmetic,
+so it keeps the points the per-line loop kept.
+
 The involution is applied to the whole sample stack at once: one Gram stack
 per curve, one (n, 3, 3) array of polar Gram matrices and one batched SVD
 per application of s, with a rejected sample marked as a NaN row rather
@@ -162,6 +172,40 @@ def _random_projective_point(rng: random.Random) -> tuple[int, ...]:
             return point
 
 
+def _python_product(
+    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise complex product of (real, imag) array pairs, unfused as
+    Python's complex * computes it; numpy's complex multiply may fuse into
+    fma and so round differently."""
+    (ar, ai), (br, bi) = a, b
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _abs_values(form: TernaryForm, x: np.ndarray) -> np.ndarray:
+    """|form(row)| for each row of an (n, 3) complex array, equal to abs of
+    form.evaluate on the row's Python complex coordinates: x**1, x**2 and
+    x**3 are x, x*x and x*(x*x) up to the sign of a zero, which abs
+    ignores, and the terms are accumulated one by one in the form's order
+    (sum() may compensate, and so round differently)."""
+    import numpy as np
+
+    powers = []
+    for column in x.T:
+        col = (column.real, column.imag)
+        square = _python_product(col, col)
+        powers.append([None, col, square, _python_product(col, square)])
+    value = (np.zeros(len(x)), np.zeros(len(x)))
+    for exponents, c in form.terms.items():
+        # Fraction * complex computes complex(c) * x.
+        term = (float(c), 0.0)
+        for i, e in enumerate(exponents):
+            if e:
+                term = _python_product(term, powers[i][e])
+        value = (value[0] + term[0], value[1] + term[1])
+    return np.hypot(*value)
+
+
 def sample_hessian_points(
     f: TernaryForm, n: int, seed: int = 0
 ) -> list[np.ndarray]:
@@ -172,7 +216,12 @@ def sample_hessian_points(
     The Hessian's integer gradient is built once; the restriction to each
     line is exact (four dot products of its values at two points, one
     Fraction per coefficient) and is rounded to floats only when handed to
-    the root finder; the residual is evaluated on the complex point."""
+    the root finder.  The roots of every regular line (nonzero leading and
+    constant coefficient) come from one eigvals call on the stack of their
+    companion matrices; a degenerate line keeps np.roots, which strips its
+    zero coefficients, and an exact zero leading coefficient also gives the
+    direction point itself.  The residual is evaluated on all candidate
+    points at once."""
     import numpy as np
 
     he = hessian_curve(f)
@@ -180,11 +229,8 @@ def sample_hessian_points(
         raise SingularCurveError("Hessian form vanishes identically")
     den, grad = _integer_gradient(he)
     scale = float(max(abs(c) for c in he.terms.values()))
-    # Fraction * complex computes complex(c) * x, so these terms give the
-    # floats of he.evaluate on a complex point without building Fractions.
-    terms = [(complex(c), e) for e, c in he.terms.items()]
-    points: list[np.ndarray] = []
     rng = random.Random(seed)
+    lines, polys, at_infinity = [], [], []
     for _ in range(n):
         base = _random_projective_point(rng)
         direction = _random_projective_point(rng)
@@ -196,29 +242,43 @@ def sample_hessian_points(
         if all(c == 0 for c in cross):
             continue
         coeffs = _restrict_to_line(den, grad, base, direction)
-        base_vec = np.array([float(c) for c in base], dtype=complex)
-        dir_vec = np.array([float(c) for c in direction], dtype=complex)
+        lines.append((base, direction))
+        polys.append([float(c) for c in reversed(coeffs)])
         # Exact zero leading coefficient: the direction point itself is on
         # the curve (the root "at infinity" of the affine parameter).
-        if coeffs[-1] == 0:
-            points.append(dir_vec / np.linalg.norm(dir_vec))
-        poly_desc = [float(c) for c in reversed(coeffs)]
-        roots = np.roots(poly_desc) if any(poly_desc) else []
-        for lam in roots:
-            vec = base_vec + lam * dir_vec
-            norm = np.linalg.norm(vec)
-            if norm == 0:
-                continue
-            vec = vec / norm
-            x0, x1, x2 = (complex(x) for x in vec)
-            # Accumulated term by term in he.evaluate's order (sum() may
-            # compensate, and so round differently).
-            value = 0j
-            for c, (e0, e1, e2) in terms:
-                value += c * x0**e0 * x1**e1 * x2**e2
-            if abs(value) / scale < RESIDUAL_BOUND:
-                points.append(vec)
-    return points
+        at_infinity.append(coeffs[-1] == 0)
+    if not lines:
+        return []
+    polys = np.array(polys)
+    ends = np.array(lines, dtype=complex)
+    bases, dirs = ends[:, 0], ends[:, 1]
+    lams = np.zeros((len(lines), 3), dtype=complex)
+    found = np.zeros((len(lines), 3), dtype=bool)
+    regular = (polys[:, 0] != 0) & (polys[:, 3] != 0)
+    # np.roots's companion matrix, for all regular lines at once.
+    companion = np.zeros((int(regular.sum()), 3, 3))
+    companion[:, 1, 0] = companion[:, 2, 1] = 1
+    companion[:, 0, :] = -polys[regular, 1:] / polys[regular, :1]
+    lams[regular] = np.linalg.eigvals(companion)
+    found[regular] = True
+    for i in np.flatnonzero(~regular):
+        roots = np.roots(polys[i]) if polys[i].any() else []
+        lams[i, : len(roots)] = roots
+        found[i, : len(roots)] = True
+    # Per line, the direction point and then one candidate per root, in
+    # the order of the roots.  dirs is real, so each part of lam*dir is one
+    # rounded product, fused multiply or not.
+    candidates = np.concatenate(
+        [dirs[:, None], bases[:, None] + lams[:, :, None] * dirs[:, None]], axis=1)
+    slots = np.column_stack([at_infinity, found])
+    is_direction = np.zeros_like(slots)
+    is_direction[:, 0] = True
+    vecs, is_direction = candidates[slots], is_direction[slots]
+    norms = _row_norms(vecs)
+    nonzero = norms != 0
+    vecs, is_direction = vecs[nonzero] / norms[nonzero, None], is_direction[nonzero]
+    on_curve = _abs_values(he, vecs) / scale < RESIDUAL_BOUND
+    return list(vecs[is_direction | on_curve])
 
 
 def _gram_stack(f: TernaryForm) -> np.ndarray:

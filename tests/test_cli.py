@@ -145,13 +145,17 @@ class TestReconstructCommand:
             lambda cay, hyp: ({**cay, "coeffs": [1.0] + cay["coeffs"][1:]}, hyp),
             lambda cay, hyp: (cay, {"normal": [True] + hyp["normal"][1:]}),
             lambda cay, hyp: (cay, {"normal": ["1/0"] + hyp["normal"][1:]}),
+            lambda cay, hyp: (cay, {"normal": "1234567890"}),
+            lambda cay, hyp: ({**cay, "coeffs": "1234567890"}, hyp),
         ],
         ids=["cayleyan-list", "normal-null", "hyperplane-list", "coeff-float",
-             "coeff-integral-float", "normal-bool", "normal-zero-denominator"],
+             "coeff-integral-float", "normal-bool", "normal-zero-denominator",
+             "normal-string", "coeffs-string"],
     )
     def test_malformed_files_refused(self, capsys, tmp_path, corrupt):
-        # Entries must be p/q strings or integers; anything else, and any
-        # file of the wrong shape, is zero-input with valid JSON on stdout.
+        # Entries must be p/q strings or integers in JSON lists; anything
+        # else, a string of ten digits included, and any file of the wrong
+        # shape, is zero-input with valid JSON on stdout.
         inv = forward_invariants(Fraction(1, 2))
         cay = form_record(inv.cayleyan)
         hyp = {"normal": [str(x) for x in inv.hyperplane]}

@@ -15,6 +15,7 @@ from logcubic.errors import (
 )
 from logcubic.forms import TernaryForm, monomial_basis, parse_form, partial_derivative
 from logcubic.involution import (
+    RESIDUAL_BOUND,
     InvolutionReport,
     _gram_stack,
     _integer_gradient,
@@ -265,6 +266,136 @@ class TestBatchedApplication:
             q = p + 10.0 ** rng.uniform(-14, 0) * (rng.standard_normal(3) + 1j * rng.standard_normal(3))
             q = q * 10.0 ** rng.uniform(-3, 3)
             assert chordal_distance(p, q) == reference_chordal_distance(p, q)
+
+
+def reference_sample_points(f, n, seed):
+    """sample_hessian_points as a loop over lines: np.roots on each line,
+    then the residual of each root's point in Python complex arithmetic."""
+    he = hessian_curve(f)
+    if he.is_zero():
+        raise SingularCurveError("Hessian form vanishes identically")
+    den, grad = _integer_gradient(he)
+    scale = float(max(abs(c) for c in he.terms.values()))
+    terms = [(complex(c), e) for e, c in he.terms.items()]
+    points = []
+    rng = random.Random(seed)
+    for _ in range(n):
+        base = _random_projective_point(rng)
+        direction = _random_projective_point(rng)
+        if not np.cross(base, direction).any():
+            continue
+        coeffs = _restrict_to_line(den, grad, base, direction)
+        base_vec = np.array([float(c) for c in base], dtype=complex)
+        dir_vec = np.array([float(c) for c in direction], dtype=complex)
+        if coeffs[-1] == 0:
+            points.append(dir_vec / np.linalg.norm(dir_vec))
+        poly_desc = [float(c) for c in reversed(coeffs)]
+        roots = np.roots(poly_desc) if any(poly_desc) else []
+        for lam in roots:
+            vec = base_vec + lam * dir_vec
+            norm = np.linalg.norm(vec)
+            if norm == 0:
+                continue
+            vec = vec / norm
+            x0, x1, x2 = (complex(x) for x in vec)
+            value = 0j
+            for c, (e0, e1, e2) in terms:
+                value += c * x0**e0 * x1**e1 * x2**e2
+            if abs(value) / scale < RESIDUAL_BOUND:
+                points.append(vec)
+    return points
+
+
+def line_classes(f, n, seed):
+    """The class of each of the n lines sample_hessian_points draws for f:
+    parallel endpoints, an identically zero restriction, a zero leading
+    coefficient, a zero constant coefficient, both, or regular."""
+    he = hessian_curve(f)
+    den, grad = _integer_gradient(he)
+    rng = random.Random(seed)
+    classes = []
+    for _ in range(n):
+        base = _random_projective_point(rng)
+        direction = _random_projective_point(rng)
+        if not np.cross(base, direction).any():
+            classes.append("parallel")
+            continue
+        coeffs = _restrict_to_line(den, grad, base, direction)
+        if not any(coeffs):
+            classes.append("zero")
+        elif coeffs[0] == 0 and coeffs[-1] == 0:
+            classes.append("both")
+        elif coeffs[-1] == 0:
+            classes.append("leading")
+        elif coeffs[0] == 0:
+            classes.append("constant")
+        else:
+            classes.append("regular")
+    return classes
+
+
+def assert_same_points(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.shape == (3,) and a.dtype == complex
+        assert a.tobytes() == b.tobytes()
+
+
+class TestBatchedSampling:
+    """Finding the roots of all regular lines in one batched eigvals call
+    gives the points of the per-line np.roots loop, bit for bit and in the
+    same order."""
+
+    def test_equals_per_line_loop(self):
+        for f in seeded_cubics(51, count=4) + [hesse_cubic(0)]:
+            for seed in (0, 1, 2):
+                assert_same_points(sample_hessian_points(f, 40, seed),
+                                   reference_sample_points(f, 40, seed))
+
+    # Each pair reaches at least one class of degenerate line; Fermat's
+    # Hessian 216*z0*z1*z2 vanishes on every line inside a coordinate line.
+    DEGENERATE = [(Fraction(0), 31), (Fraction(0), 32), (Fraction(2), 9),
+                  (Fraction(-11, 8), 36)]
+
+    def test_degenerate_lines(self):
+        reached = set()
+        for t, seed in self.DEGENERATE:
+            f = hesse_cubic(t)
+            reached.update(line_classes(f, 40, seed))
+            assert_same_points(sample_hessian_points(f, 40, seed),
+                               reference_sample_points(f, 40, seed))
+        assert reached == {"regular", "parallel", "zero", "both", "leading", "constant"}
+
+    def test_roots_only_on_degenerate_lines(self, monkeypatch):
+        # np.roots sees exactly the lines with a zero end coefficient that
+        # are not identically zero; everything else goes through a single
+        # eigvals call per sampling run.
+        roots_calls, eigvals_calls = [], []
+        roots, eigvals = np.roots, np.linalg.eigvals
+
+        def counting_roots(p):
+            roots_calls.append(list(p))
+            return roots(p)
+
+        def counting_eigvals(a):
+            eigvals_calls.append(a.shape)
+            return eigvals(a)
+
+        monkeypatch.setattr(np, "roots", counting_roots)
+        monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+        cases = [(f, 0) for f in seeded_cubics(52, count=3)]
+        cases += [(hesse_cubic(t), seed) for t, seed in self.DEGENERATE]
+        degenerate = 0
+        for f, seed in cases:
+            roots_calls.clear()
+            eigvals_calls.clear()
+            sample_hessian_points(f, 40, seed)
+            classes = line_classes(f, 40, seed)
+            degenerate += len(roots_calls)
+            assert len(roots_calls) == sum(c in ("leading", "constant", "both") for c in classes)
+            assert all(p[0] == 0 or p[-1] == 0 for p in roots_calls)
+            assert eigvals_calls == [(classes.count("regular"), 3, 3)]
+        assert degenerate > 0
 
 
 class TestCheckInvolution:
