@@ -50,6 +50,50 @@ def monomial_basis(degree: int) -> tuple[Monomial, ...]:
     return tuple(monos)
 
 
+# -- dict kernels ----------------------------------------------------------
+# Sparse polynomials as plain {exponents: Fraction} maps without zero
+# entries.  The TernaryForm operators and the parser share these kernels.
+
+_RawPoly = dict[Monomial, Fraction]
+
+
+def _raw_add(a: _RawPoly, b: _RawPoly) -> _RawPoly:
+    out = dict(a)
+    for mono, coeff in b.items():
+        c = out.get(mono, Fraction(0)) + coeff
+        if c == 0:
+            out.pop(mono, None)
+        else:
+            out[mono] = c
+    return out
+
+
+def _raw_mul(a: _RawPoly, b: _RawPoly) -> _RawPoly:
+    out: _RawPoly = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
+            c = out.get(mono, Fraction(0)) + c1 * c2
+            if c == 0:
+                out.pop(mono, None)
+            else:
+                out[mono] = c
+    return out
+
+
+def _raw_scale(a: _RawPoly, c: Fraction) -> _RawPoly:
+    if c == 0:
+        return {}
+    return {m: c * v for m, v in a.items()}
+
+
+def _raw_pow(a: _RawPoly, n: int) -> _RawPoly:
+    out: _RawPoly = {(0, 0, 0): Fraction(1)}
+    for _ in range(n):
+        out = _raw_mul(out, a)
+    return out
+
+
 class TernaryForm:
     """Homogeneous polynomial in three variables with Fraction coefficients.
 
@@ -123,18 +167,13 @@ class TernaryForm:
         if not isinstance(other, TernaryForm):
             return NotImplemented
         self._check_space(other)
-        if self.is_zero():
-            return TernaryForm(other.degree, other.terms, other.space)
-        if other.is_zero():
-            return TernaryForm(self.degree, self.terms, self.space)
-        if self.degree != other.degree:
+        # A zero summand takes the other's degree.
+        if self and other and self.degree != other.degree:
             raise DegreeMismatchError(
                 f"cannot add forms of degrees {self.degree} and {other.degree}"
             )
-        total = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            total[mono] = total.get(mono, Fraction(0)) + coeff
-        return TernaryForm(self.degree, total, self.space)
+        degree = self.degree if self else other.degree
+        return TernaryForm(degree, _raw_add(self.terms, other.terms), self.space)
 
     def __sub__(self, other: "TernaryForm") -> "TernaryForm":
         if not isinstance(other, TernaryForm):
@@ -142,9 +181,7 @@ class TernaryForm:
         return self + (-other)
 
     def __neg__(self) -> "TernaryForm":
-        return TernaryForm(
-            self.degree, {m: -c for m, c in self.terms.items()}, self.space
-        )
+        return self.scale(-1)
 
     def __mul__(self, other: Union["TernaryForm", Scalar]) -> "TernaryForm":
         if isinstance(other, (int, Fraction)):
@@ -152,12 +189,9 @@ class TernaryForm:
         if not isinstance(other, TernaryForm):
             return NotImplemented
         self._check_space(other)
-        product: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                product[mono] = product.get(mono, Fraction(0)) + c1 * c2
-        return TernaryForm(self.degree + other.degree, product, self.space)
+        return TernaryForm(
+            self.degree + other.degree, _raw_mul(self.terms, other.terms), self.space
+        )
 
     def __rmul__(self, other: Scalar) -> "TernaryForm":
         if isinstance(other, (int, Fraction)):
@@ -165,27 +199,18 @@ class TernaryForm:
         return NotImplemented
 
     def scale(self, c: Scalar) -> "TernaryForm":
-        c = Fraction(c)
-        return TernaryForm(
-            self.degree, {m: c * v for m, v in self.terms.items()}, self.space
-        )
+        return TernaryForm(self.degree, _raw_scale(self.terms, Fraction(c)), self.space)
 
     def __pow__(self, n: int) -> "TernaryForm":
         if not isinstance(n, int) or n < 0:
             raise DegreeMismatchError("exponent must be a non-negative integer")
-        result = constant_form(1, self.space)
-        for _ in range(n):
-            result = result * self
-        return result
+        return TernaryForm(self.degree * n, _raw_pow(self.terms, n), self.space)
 
     # -- evaluation ------------------------------------------------------
 
     def evaluate(self, point: Sequence) -> object:
-        """Evaluate at a triple of scalars.
-
-        Exact for Fraction/int inputs; also accepts floats or complex
-        numbers for the numeric layer (Fraction coefficients mix cleanly).
-        """
+        """Evaluate at a triple of scalars: exact for Fraction and int
+        inputs; float or complex inputs give a float or complex value."""
         x0, x1, x2 = point
         total = None
         for (e0, e1, e2), coeff in self.terms.items():
@@ -359,39 +384,6 @@ def vectors_projectively_equal(
 # VAR is z0|z1|z2 in the primal space, a0|a1|a2 in the dual space.
 # Rational coefficients are written p/q between integer literals only.
 
-_RawPoly = dict[Monomial, Fraction]
-
-
-def _raw_add(a: _RawPoly, b: _RawPoly) -> _RawPoly:
-    out = dict(a)
-    for mono, coeff in b.items():
-        c = out.get(mono, Fraction(0)) + coeff
-        if c == 0:
-            out.pop(mono, None)
-        else:
-            out[mono] = c
-    return out
-
-
-def _raw_mul(a: _RawPoly, b: _RawPoly) -> _RawPoly:
-    out: _RawPoly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-            c = out.get(mono, Fraction(0)) + c1 * c2
-            if c == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = c
-    return out
-
-
-def _raw_scale(a: _RawPoly, c: Fraction) -> _RawPoly:
-    if c == 0:
-        return {}
-    return {m: c * v for m, v in a.items()}
-
-
 class _Tokenizer:
     def __init__(self, text: str, space: str):
         self.tokens: list[tuple[str, object]] = []
@@ -466,10 +458,7 @@ def _parse_factor(tk: _Tokenizer) -> _RawPoly:
         kind, value = tk.next()
         if kind != "num":
             raise ParseError("exponent must be a non-negative integer")
-        result: _RawPoly = {(0, 0, 0): Fraction(1)}
-        for _ in range(int(value)):
-            result = _raw_mul(result, base)
-        return result
+        return _raw_pow(base, value)
     return base
 
 
