@@ -24,12 +24,20 @@ companion matrices, built as np.roots builds them; the batched call makes
 the same LAPACK call on each matrix that np.roots makes.  A degenerate line
 keeps np.roots, which strips its zero coefficients: in the stack a zero
 leading coefficient would put infinities, and a zero constant coefficient
-would move the root 0 from last place to first.  The residual of every
-candidate point is taken at once in plain numpy complex arithmetic.  Its
-rounding may differ from a point-by-point evaluation's, but no decision of
-the filter lies within rounding distance of RESIDUAL_BOUND: over 539,720
-candidate points of the benchmark's sampling inputs the largest normalized
-residual was 7.3e-11, and no point was filtered.
+would move the root 0 from last place to first.
+
+Every candidate point then takes one Newton step onto the Hessian curve
+along the conjugate gradient of den*H (see :func:`_onto_hessian`).  A root
+of the rounded restriction lies slightly off the curve, and where the polar
+conic at s(q) is close to a double line, the small gap between its singular
+values amplifies that error: on one dense cubic a normalized residual of
+8e-12 in q became an error of 1.1e-8 in s(s(q)); one step took that
+residual to 1e-17.  The residual filter then runs on all candidate points
+at once, in plain numpy complex arithmetic.  Its rounding may differ from a
+point-by-point evaluation's, which could flip a decision only for a
+residual within rounding distance of RESIDUAL_BOUND; even before the step,
+the largest residual among 539,720 candidate points of dense and pencil
+cubics was 7.3e-11.
 
 The involution is applied to the whole sample stack at once: one Gram stack
 per curve, one (n, 3, 3) array of polar Gram matrices and one batched SVD
@@ -198,6 +206,26 @@ def _evaluate(terms, powers: list[list]) -> np.ndarray:
     return value
 
 
+def _onto_hessian(grad: list[list[tuple[int, Monomial]]], x: np.ndarray) -> np.ndarray:
+    """Each row of a unit (n, 3) complex stack after one Newton step toward
+    the Hessian curve, renormalized.  grad is :func:`_integer_gradient` of H.
+
+    With g = grad(den*H) at x, Euler's identity gives den*H(x) = x.g/3, and
+    the step is x - (x.g/3) conj(g)/|g|^2.  The gradient is scaled by its
+    largest coefficient first, which the step does not see.  A row where g
+    vanishes stays as it is."""
+    import numpy as np
+
+    top = max(abs(c) for terms in grad for c, _ in terms)
+    powers = _column_powers(x)
+    g = np.column_stack([_evaluate([(c / top, e) for c, e in terms], powers) for terms in grad])
+    gg = _row_dots(g.real, g.real) + _row_dots(g.imag, g.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = x - (_row_dots(x, g) / (3 * gg))[:, None] * g.conj()
+        y /= _row_norms(y)[:, None]
+    return np.where((gg == 0)[:, None], x, y)
+
+
 def sample_hessian_points(
     f: TernaryForm, n: int, seed: int = 0
 ) -> list[np.ndarray]:
@@ -212,8 +240,9 @@ def sample_hessian_points(
     constant coefficient) come from one eigvals call on the stack of their
     companion matrices; a degenerate line keeps np.roots, which strips its
     zero coefficients, and an exact zero leading coefficient also gives the
-    direction point itself.  The residual is evaluated on all candidate
-    points at once."""
+    direction point itself, which is kept without a residual test.  Every
+    unit candidate point takes one Newton step onto the curve, and the
+    residual is evaluated on all of them at once."""
     import numpy as np
 
     he = hessian_curve(f)
@@ -269,6 +298,7 @@ def sample_hessian_points(
     norms = _row_norms(vecs)
     nonzero = norms != 0
     vecs, is_direction = vecs[nonzero] / norms[nonzero, None], is_direction[nonzero]
+    vecs = _onto_hessian(grad, vecs)
     terms = [(float(c), e) for e, c in he.terms.items()]
     on_curve = np.abs(_evaluate(terms, _column_powers(vecs))) / scale < RESIDUAL_BOUND
     return list(vecs[is_direction | on_curve])
