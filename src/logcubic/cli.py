@@ -102,10 +102,13 @@ def form_record(form: TernaryForm) -> dict:
 
 
 def form_from_record(record: dict) -> TernaryForm:
+    """The form of a :func:`form_record`; its degree must be a JSON integer,
+    where int() would truncate 3.9 to 3 and read true as 1."""
+    degree = record["degree"]
+    if isinstance(degree, bool) or not isinstance(degree, int):
+        raise TypeError(f"degree is not an integer: {degree!r}")
     return form_from_coefficients(
-        _json_rationals(record["coeffs"]),
-        int(record["degree"]),
-        record.get("space", PRIMAL),
+        _json_rationals(record["coeffs"]), degree, record.get("space", PRIMAL)
     )
 
 

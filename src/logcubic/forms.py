@@ -396,9 +396,11 @@ class _Tokenizer:
             elif ch in "+-*^()/":
                 self.tokens.append((ch, ch))
                 i += 1
-            elif ch.isdigit():
+            elif "0" <= ch <= "9":
+                # ASCII only: str.isdigit() also accepts digits such as '²'
+                # that int() refuses.
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
                 self.tokens.append(("num", int(text[i:j])))
                 i = j

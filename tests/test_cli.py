@@ -147,15 +147,18 @@ class TestReconstructCommand:
             lambda cay, hyp: (cay, {"normal": ["1/0"] + hyp["normal"][1:]}),
             lambda cay, hyp: (cay, {"normal": "1234567890"}),
             lambda cay, hyp: ({**cay, "coeffs": "1234567890"}, hyp),
+            lambda cay, hyp: ({**cay, "degree": 3.9}, hyp),
+            lambda cay, hyp: ({**cay, "degree": True}, hyp),
         ],
         ids=["cayleyan-list", "normal-null", "hyperplane-list", "coeff-float",
              "coeff-integral-float", "normal-bool", "normal-zero-denominator",
-             "normal-string", "coeffs-string"],
+             "normal-string", "coeffs-string", "degree-float", "degree-bool"],
     )
     def test_malformed_files_refused(self, capsys, tmp_path, corrupt):
-        # Entries must be p/q strings or integers in JSON lists; anything
-        # else, a string of ten digits included, and any file of the wrong
-        # shape, is zero-input with valid JSON on stdout.
+        # Entries must be p/q strings or integers in JSON lists, and the
+        # degree a JSON integer; anything else, a string of ten digits
+        # included, and any file of the wrong shape, is zero-input with
+        # valid JSON on stdout.
         inv = forward_invariants(Fraction(1, 2))
         cay = form_record(inv.cayleyan)
         hyp = {"normal": [str(x) for x in inv.hyperplane]}
@@ -332,6 +335,11 @@ class TestDeterminismAndErrors:
         code, report, _ = run_json(capsys, "cayleyan", "--form", "z0^2 + z1")
         assert code == 1
         assert report["error"]["category"] == "inhomogeneous"
+
+    def test_non_ascii_digit_is_parse_error(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "--form", "z0^² + z1^3 + z2^3", "--json")
+        assert code == 1
+        assert strict_json(out)["error"]["category"] == "parse-error"
 
 
 class TestStrictJson:
