@@ -1,6 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from logcubic.errors import (
     DegreeMismatchError,
@@ -23,6 +25,7 @@ from logcubic.forms import (
 )
 
 from conftest import rand_form, rand_fraction
+from test_involution import sympy_form
 
 
 class TestBasisOrder:
@@ -88,6 +91,13 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse_form(bad)
 
+    def test_non_ascii_digits_rejected(self):
+        # str.isdigit() accepts '²' and '٣', which int() refuses or reads
+        # as 3; only ASCII 0-9 make a number.
+        for bad in ("z0^² + z1^3 + z2^3", "٣*z0", "z0^2*z1 + ½*z2^3"):
+            with pytest.raises(ParseError):
+                parse_form(bad)
+
     def test_cancellation_to_zero(self):
         assert parse_form("z0^2 - z0^2").is_zero()
 
@@ -139,6 +149,50 @@ class TestArithmetic:
         f = parse_form("z0")
         with pytest.raises(AttributeError):
             f.degree = 2
+
+
+class TestKernelsAgainstSympy:
+    """The TernaryForm operators and the parser share one set of dict
+    kernels, so they are checked against sympy's expansion, not against
+    each other."""
+
+    Z = sympy.symbols("z0 z1 z2")
+
+    def forms(self, rng, degree):
+        # Zero forms included: density 0 gives the empty map.
+        return [rand_form(rng, degree, density=density) for density in (0.0, 0.3, 0.7, 1.0)]
+
+    def assert_expands_to(self, form, expr, degree=None):
+        poly = sympy.Poly(sympy.expand(expr), *self.Z)
+        assert form.terms == {m: Fraction(int(c.p), int(c.q)) for m, c in poly.as_dict().items()}
+        assert degree is None or form.degree == degree
+
+    def test_operators(self):
+        rng = random.Random(81)
+        for _ in range(4):
+            d1, d2 = rng.randint(0, 3), rng.randint(0, 3)
+            for f in self.forms(rng, d1):
+                pf = sympy_form(f, self.Z)
+                c = rand_fraction(rng)
+                self.assert_expands_to(-f, -pf, d1)
+                self.assert_expands_to(f.scale(c), sympy.Rational(c.numerator, c.denominator) * pf, d1)
+                for n in range(5):
+                    self.assert_expands_to(f**n, pf**n, d1 * n)
+                for g in self.forms(rng, d1):
+                    pg = sympy_form(g, self.Z)
+                    self.assert_expands_to(f + g, pf + pg, d1)
+                    self.assert_expands_to(f - g, pf - pg, d1)
+                for g in self.forms(rng, d2):
+                    self.assert_expands_to(f * g, pf * sympy_form(g, self.Z), d1 + d2)
+
+    def test_parser(self):
+        # A parsed zero has degree 0, so only the terms are compared.
+        rng = random.Random(82)
+        for _ in range(10):
+            f, g = rand_form(rng, rng.randint(0, 2)), rand_form(rng, 1)
+            n = rng.randint(0, 4)
+            expr = sympy_form(f, self.Z) * sympy_form(g, self.Z) ** n
+            self.assert_expands_to(parse_form(f"({f}) * ({g})^{n}"), expr)
 
 
 class TestCalculus:

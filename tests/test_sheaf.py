@@ -1,3 +1,5 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,7 @@ from logcubic.forms import (
     parse_form,
     partial_derivative,
     projectively_equal,
+    substitute_linear,
     variable,
 )
 from logcubic.sheaf import (
@@ -33,7 +36,7 @@ from logcubic.sheaf import (
     splitting_type,
 )
 
-from conftest import rand_fraction, rand_hesse_t
+from conftest import rand_fraction, rand_hesse_t, random_unimodular
 from test_linalg import naive_rank
 
 
@@ -351,3 +354,73 @@ class TestChernData:
     def test_degree_validation(self):
         with pytest.raises(DegreeMismatchError):
             chern_data(0, 0)
+
+
+def riemann_roch_chi(k: int) -> int:
+    """chi(E(k)) = 2 + (c1^2 - 2*c2)/2 + 3*c1/2 on P^2 for the rank-2 sheaf
+    with the Chern numbers of chern_data(3, k); it is k^2 + 3k - 1."""
+    data = chern_data(3, k)
+    chi = 2 + Fraction(data.c1**2 - 2 * data.c2, 2) + Fraction(3 * data.c1, 2)
+    assert chi.denominator == 1
+    return int(chi)
+
+
+# Reduced singular cubics and their global Tjurina numbers tau.
+TJURINA = [
+    ("node", NODAL, 1),
+    ("cusp", CUSPIDAL, 2),
+    ("triangle", "z0*z1*z2", 3),
+    ("tacnode", "z1*(z1*z2 - z0^2)", 3),
+    ("concurrent-lines", "z0*z1*(z0+z1)", 4),
+]
+
+
+class TestRiemannRoch:
+    """d0_graded_dim against Riemann-Roch on P^2, an oracle independent of
+    the multiplication matrix: on a smooth cubic the degree-k derivations
+    that annihilate f number chi(E(k)) for k >= 1.  On a reduced singular
+    cubic the excess over chi is the global Tjurina number tau in every
+    degree k >= 1.  Non-reduced cubics are left out: on z0^2*z1 the excess
+    grows with k."""
+
+    KS = range(1, 6)
+
+    def smooth_cubics(self):
+        rng = random.Random(71)
+        cubics = [TernaryForm(3, {m: rng.randint(-9, 9) for m in monomial_basis(3)}),
+                  TernaryForm(3, {m: rand_fraction(rng) for m in monomial_basis(3)}),
+                  hesse_cubic(rand_hesse_t(rng))]
+        assert all(is_smooth_cubic(f).is_smooth for f in cubics)
+        return cubics
+
+    def test_chi_is_koszul_count(self):
+        for k in range(0, 8):
+            assert riemann_roch_chi(k) == k * k + 3 * k - 1
+
+    def test_smooth_cubics_match_chi(self):
+        for f in self.smooth_cubics():
+            assert [d0_graded_dim(f, k) for k in self.KS] == [riemann_roch_chi(k) for k in self.KS]
+
+    def test_smooth_cubics_match_chi_after_unimodular_maps(self):
+        rng = random.Random(72)
+        for f in self.smooth_cubics():
+            moved = substitute_linear(f, random_unimodular(rng))
+            assert [d0_graded_dim(moved, k) for k in self.KS] == [riemann_roch_chi(k) for k in self.KS]
+
+    @pytest.mark.parametrize("text, tau", [(text, tau) for _, text, tau in TJURINA],
+                             ids=[name for name, _, _ in TJURINA])
+    def test_excess_is_tjurina_number(self, text, tau):
+        f = parse_form(text)
+        moved = substitute_linear(f, random_unimodular(random.Random(73)))
+        counted = 0
+        for form in (f, moved):
+            assert [d0_graded_dim(form, k) - riemann_roch_chi(k) for k in self.KS] == [tau] * 5
+            # Off the Hesse pencil the smoothness witness counts the
+            # quartics the partials generate, r of 15; the missing 15 - r
+            # are tau.
+            witness = is_smooth_cubic(form).witness
+            match = re.fullmatch(r"partials generate only (\d+) of 15 quartics", witness)
+            if match:
+                assert 15 - int(match.group(1)) == tau
+                counted += 1
+        assert counted >= 1
