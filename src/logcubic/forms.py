@@ -60,11 +60,11 @@ _RawPoly = dict[Monomial, Fraction]
 def _raw_add(a: _RawPoly, b: _RawPoly) -> _RawPoly:
     out = dict(a)
     for mono, coeff in b.items():
-        c = out.get(mono, Fraction(0)) + coeff
-        if c == 0:
-            out.pop(mono, None)
-        else:
+        c = out[mono] + coeff if mono in out else coeff
+        if c:
             out[mono] = c
+        else:
+            out.pop(mono, None)
     return out
 
 
@@ -73,11 +73,11 @@ def _raw_mul(a: _RawPoly, b: _RawPoly) -> _RawPoly:
     for m1, c1 in a.items():
         for m2, c2 in b.items():
             mono = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-            c = out.get(mono, Fraction(0)) + c1 * c2
-            if c == 0:
-                out.pop(mono, None)
-            else:
+            c = out[mono] + c1 * c2 if mono in out else c1 * c2
+            if c:
                 out[mono] = c
+            else:
+                out.pop(mono, None)
     return out
 
 
