@@ -86,8 +86,8 @@ class TestSampling:
     def test_newton_step_onto_curve(self):
         # Points moved about 1e-7 off the Hessian come back to it at unit
         # norm, their residual cut by the square of the offset; the corner
-        # points of the Fermat Hessian
-        # 216*z0*z1*z2, where the gradient vanishes, stay as they are.
+        # points of the Fermat Hessian 216*z0*z1*z2, where the gradient
+        # vanishes, stay as they are.
         f = seeded_cubics(61, count=1)[0]
         he = hessian_curve(f)
         scale = float(max(abs(c) for c in he.terms.values()))
@@ -443,9 +443,9 @@ class TestCheckInvolution:
         assert report.min_fixed_point_distance > 1e-8
 
     # Dense cubics with a sample whose polar conic at s(q) is close to a
-    # double line (sigma1/sigma0 about 3e-4): that gap amplified q's
-    # off-curve error, though inside RESIDUAL_BOUND, to above 1e-8 in
-    # s(s(q)) until each candidate took a Newton step onto the curve.
+    # double line (sigma1/sigma0 about 3e-4).  That gap amplifies q's
+    # off-curve error: a residual inside RESIDUAL_BOUND gave an error above
+    # 1e-8 in s(s(q)) without the Newton step onto the curve.
     NEAR_DOUBLE_LINE = [
         ("3*z0^3 - 4*z0^2*z1 + 6*z0^2*z2 + 2*z0*z1^2 - 9*z0*z1*z2 - 9*z0*z2^2"
          " + 4*z1^3 + 6*z1^2*z2 + 3*z1*z2^2 - 6*z2^3", 146510239),
