@@ -24,7 +24,7 @@ from .cubics import (
     is_smooth_cubic,
     j_invariant_hesse,
 )
-from .errors import DomainError, ZeroInputError
+from .errors import DomainError, InvolutionCheckError, ZeroInputError
 from .forms import (
     PRIMAL,
     TernaryForm,
@@ -234,6 +234,12 @@ def cmd_involution(args) -> tuple[dict, dict]:
     f, inputs = _input_cubic(args)
     inputs.update({"samples": args.samples, "tol": args.tol, "seed": args.seed})
     report = check_involution(f, args.samples, args.tol, args.seed)
+    if not report.passed:
+        raise InvolutionCheckError(
+            f"involution check failed at tolerance {report.tolerance}: "
+            f"max_err = {report.max_double_apply_error}, "
+            f"min_fix_dist = {report.min_fixed_point_distance}"
+        )
     return inputs, {
         "samples": report.samples,
         "max_err": report.max_double_apply_error,

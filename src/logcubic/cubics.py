@@ -9,9 +9,8 @@ multiplication map from triples of conics onto quartics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     ConicRankError,
@@ -37,8 +36,7 @@ _CUBE_MONOS = ((3, 0, 0), (0, 3, 0), (0, 0, 3))
 _PRODUCT_MONO = (1, 1, 1)
 
 
-@dataclass(frozen=True)
-class SmoothnessVerdict:
+class SmoothnessVerdict(NamedTuple):
     """Outcome of the smoothness test: Smooth or Singular, with a witness
     saying which exact criterion decided it."""
 

@@ -106,3 +106,10 @@ class InsufficientSamplesError(DomainError):
     """Too few usable samples survived filtering to report a verdict."""
 
     category = "insufficient-samples"
+
+
+class InvolutionCheckError(DomainError):
+    """The numeric involution check failed at its tolerance: s(s(q)) strayed
+    from q, or s(q) came within the tolerance of q."""
+
+    category = "involution-check-failed"

@@ -206,20 +206,6 @@ class TernaryForm:
             raise DegreeMismatchError("exponent must be a non-negative integer")
         return TernaryForm(self.degree * n, _raw_pow(self.terms, n), self.space)
 
-    # -- evaluation ------------------------------------------------------
-
-    def evaluate(self, point: Sequence) -> object:
-        """Evaluate at a triple of scalars: exact for Fraction and int
-        inputs; float or complex inputs give a float or complex value."""
-        x0, x1, x2 = point
-        total = None
-        for (e0, e1, e2), coeff in self.terms.items():
-            term = coeff * x0**e0 * x1**e1 * x2**e2
-            total = term if total is None else total + term
-        if total is None:
-            return Fraction(0)
-        return total
-
     # -- serialization ---------------------------------------------------
 
     def __str__(self) -> str:

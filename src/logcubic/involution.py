@@ -55,10 +55,9 @@ randomness is drawn from an explicit seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isfinite, lcm
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .cubics import gram_matrix, hessian_curve
 from .errors import (
@@ -81,8 +80,7 @@ RESIDUAL_BOUND = 1e-10
 RANK_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class InvolutionReport:
+class InvolutionReport(NamedTuple):
     """Numeric summary of one involution run."""
 
     samples: int
@@ -116,26 +114,16 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 def _chordal_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Chordal distances between matching rows of two (n, 3) complex
-    arrays; see :func:`chordal_distance`."""
+    arrays: the scale-free distance between projective points, sin of the
+    Hermitian angle between the complex lines through p and q.
+
+    Computed as the norm of p's component orthogonal to q, which stays
+    accurate near zero (the textbook 1 - |<p,q>|^2 form floors out at the
+    square root of machine epsilon)."""
     u = p / _row_norms(p)[:, None]
     v = q / _row_norms(q)[:, None]
     # conj(v) . u per row is np.vdot(v, u).
     return _row_norms(u - v * _row_dots(v.conj(), u)[:, None])
-
-
-def chordal_distance(p: np.ndarray, q: np.ndarray) -> float:
-    """Scale-free distance between projective points: sin of the Hermitian
-    angle between the complex lines through p and q.
-
-    Computed as the norm of p's component orthogonal to q, which stays
-    accurate near zero (the textbook 1 - |<p,q>|^2 form floors out at the
-    square root of machine epsilon).  This is the batch of one of the
-    row-wise distances that :func:`check_involution` takes."""
-    import numpy as np
-
-    p = np.asarray(p, dtype=complex).reshape(1, -1)
-    q = np.asarray(q, dtype=complex).reshape(1, -1)
-    return float(_chordal_rows(p, q)[0])
 
 
 def _integer_gradient(form: TernaryForm) -> tuple[int, list[list[tuple[int, Monomial]]]]:

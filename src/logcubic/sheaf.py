@@ -11,9 +11,8 @@ and its normal vector is the second reconstruction invariant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cubics import _syzygy_matrix, is_smooth_cubic
 from .errors import DegreeMismatchError, SingularCurveError, ZeroInputError
@@ -35,8 +34,7 @@ PRODUCT_INDEX = monomial_basis(3).index((1, 1, 1))
 HyperplaneNormal = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(NamedTuple):
     """First and second Chern numbers of the twisted logarithmic sheaf for a
     curve of degree d and twist k:
 

@@ -17,9 +17,9 @@ monotone run of that cubic, inside its Cauchy bound, finds them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 from .cubics import hesse_cubic, hesse_pencil_split
 from .errors import (
@@ -42,8 +42,7 @@ from .forms import (
 from .sheaf import HyperplaneNormal, cayleyan_cubic, jacobi_degree3
 
 
-@dataclass(frozen=True)
-class SheafInvariants:
+class SheafInvariants(NamedTuple):
     """The two reconstruction invariants of a cubic: its jumping-line cubic
     in dual coordinates and the canonical Jacobi-hyperplane normal."""
 
@@ -51,8 +50,7 @@ class SheafInvariants:
     hyperplane: HyperplaneNormal
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(NamedTuple):
     """Solutions of x^3 - 3sx + 2 = 0: the rational roots exactly, plus the
     residual cofactor (with no rational roots) in descending coefficients."""
 

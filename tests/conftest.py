@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from logcubic.forms import PRIMAL, TernaryForm, monomial_basis
+from logcubic.involution import _chordal_rows
 
 
 def rand_fraction(rng: random.Random, lo: int = -9, hi: int = 9, max_den: int = 9) -> Fraction:
@@ -48,6 +50,22 @@ def random_unimodular(rng: random.Random, bound: int = 9, shears: int = 6) -> li
         if all(abs(x) <= bound for x in candidate):
             m[i] = candidate
     return m
+
+
+def evaluate(form: TernaryForm, point) -> object:
+    """The form at a triple of scalars: exact for Fraction and int inputs;
+    float or complex inputs give a float or complex value."""
+    x0, x1, x2 = point
+    return sum((c * x0**e0 * x1**e1 * x2**e2 for (e0, e1, e2), c in form.terms.items()),
+               Fraction(0))
+
+
+def chordal_distance(p, q) -> float:
+    """Chordal distance between two projective points, through the row-wise
+    kernel that check_involution applies to whole sample stacks."""
+    p = np.asarray(p, dtype=complex).reshape(1, -1)
+    q = np.asarray(q, dtype=complex).reshape(1, -1)
+    return float(_chordal_rows(p, q)[0])
 
 
 @pytest.fixture

@@ -215,6 +215,20 @@ class TestOtherCommands:
         assert out["pass"] is True
         assert out["samples"] >= 20
 
+    def test_involution_failed_check_exits_1(self, capsys):
+        # max_err is about 6e-16 here, so no sample meets a 1e-300 tolerance.
+        argv = ["involution", "--hesse-t", "2", "--samples", "20", "--seed", "5", "--tol", "1e-300"]
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 1
+        report = strict_json(out)
+        assert report["status"] == "error"
+        assert report["error"]["category"] == "involution-check-failed"
+        assert "max_err = " in report["error"]["message"]
+        assert "min_fix_dist = " in report["error"]["message"]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[involution-check-failed]: ")
+
     def test_analyze_smooth_member(self, capsys):
         code, report, _ = run_json(capsys, "analyze", "--hesse-t", "2")
         assert code == 0
@@ -383,8 +397,8 @@ class TestStrictJson:
 
 
 # Runs the CLI module as `python -m logcubic.cli ARGS` does, or, with no
-# arguments, only imports it; then reports whether numpy was loaded.
-NUMPY_PROBE = """
+# arguments, only imports it; then prints the names of the loaded modules.
+MODULE_PROBE = """
 import runpy, sys
 if len(sys.argv) > 1:
     try:
@@ -393,8 +407,26 @@ if len(sys.argv) > 1:
         assert exc.code == 0, exc.code
 else:
     import logcubic.cli
-print("numpy" in sys.modules, file=sys.stderr)
+print(*sys.modules, file=sys.stderr)
 """
+
+# Start-up costs the exact commands must not pay: numpy, and dataclasses,
+# which brings inspect (and with it ast, dis and tokenize).
+HEAVY_MODULES = ("numpy", "dataclasses", "inspect")
+
+
+def loaded_modules(*argv) -> set[str]:
+    """The modules a fresh `logcubic` process has loaded after running argv
+    (after only importing logcubic.cli when argv is empty)."""
+    src = str(Path(logcubic.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", MODULE_PROBE, *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if argv:
+        assert strict_json(proc.stdout)["status"] == "ok"
+    return set(proc.stderr.splitlines()[-1].split())
 
 
 class TestLazyNumpy:
@@ -411,12 +443,21 @@ class TestLazyNumpy:
         ids=["import", "analyze", "involution"],
     )
     def test_numpy_loaded_only_by_involution(self, argv, loaded):
-        src = str(Path(logcubic.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE, *argv],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stderr.splitlines()[-1] == str(loaded)
-        if argv:
-            assert strict_json(proc.stdout)["status"] == "ok"
+        assert ("numpy" in loaded_modules(*argv)) == loaded
+
+
+class TestStartupImports:
+    """The exact commands load none of the heavy modules: the result records
+    are NamedTuples, not dataclasses."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["analyze", "--hesse-t", "2", "--json"],
+            ["sweep", "--t-values", "2,1/2", "--json"],
+        ],
+        ids=["import", "analyze", "sweep"],
+    )
+    def test_no_heavy_module_loaded(self, argv):
+        assert loaded_modules(*argv) & set(HEAVY_MODULES) == set()

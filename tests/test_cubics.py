@@ -24,7 +24,7 @@ from logcubic.errors import (
 )
 from logcubic.forms import parse_form, substitute_linear
 
-from conftest import rand_fraction, rand_hesse_t, random_unimodular
+from conftest import evaluate, rand_fraction, rand_hesse_t, random_unimodular
 
 PENCIL_MONOS = {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
 
@@ -133,7 +133,7 @@ class TestConicSingularPoint:
                 continue
             point = conic_singular_point(conic)
             assert gram.multiply_vector(point) == (Fraction(0),) * 3
-            assert conic.evaluate(point) == 0
+            assert evaluate(conic, point) == 0
 
     def test_canonical_point_normalization(self):
         assert canonical_point((2, 4, 0)) == (Fraction(1, 2), 1, 0)
@@ -153,7 +153,7 @@ class TestSmoothness:
         from logcubic.forms import partial_derivative
 
         for i in range(3):
-            assert partial_derivative(nodal, i).evaluate((0, 0, 1)) == 0
+            assert evaluate(partial_derivative(nodal, i), (0, 0, 1)) == 0
         assert is_smooth_cubic(nodal).status == SINGULAR
 
     def test_generic_smooth_certified(self):

@@ -24,7 +24,7 @@ from logcubic.forms import (
     zero_form,
 )
 
-from conftest import rand_form, rand_fraction
+from conftest import evaluate, rand_form, rand_fraction
 from test_involution import sympy_form
 
 
@@ -272,7 +272,7 @@ class TestSubstitution:
             m = [[rand_fraction(rng) for _ in range(3)] for _ in range(3)]
             x = [rand_fraction(rng) for _ in range(3)]
             mx = [sum(m[i][j] * x[j] for j in range(3)) for i in range(3)]
-            assert substitute_linear(f, m).evaluate(x) == f.evaluate(mx)
+            assert evaluate(substitute_linear(f, m), x) == evaluate(f, mx)
 
 
 class TestProjectiveEquality:

@@ -24,12 +24,11 @@ from logcubic.involution import (
     _restrict_to_line,
     _row_norms,
     check_involution,
-    chordal_distance,
     involution_s,
     sample_hessian_points,
 )
 
-from conftest import rand_fraction, rand_hesse_t
+from conftest import chordal_distance, evaluate, rand_fraction, rand_hesse_t
 
 
 def seeded_cubics(seed: int, count: int = 10) -> list[TernaryForm]:
@@ -68,7 +67,7 @@ class TestSampling:
         points = sample_hessian_points(f, 10, seed=1)
         assert len(points) == 30
         for q in points:
-            residual = abs(complex(he.evaluate(tuple(complex(x) for x in q)))) / scale
+            residual = abs(complex(evaluate(he, tuple(complex(x) for x in q)))) / scale
             assert residual < 1e-10
 
     def test_fermat_lines_have_zero_coordinate(self):
@@ -94,7 +93,7 @@ class TestSampling:
         _, grad = _integer_gradient(he)
 
         def residual(x):
-            return abs(complex(he.evaluate(tuple(complex(v) for v in x)))) / scale
+            return abs(complex(evaluate(he, tuple(complex(v) for v in x)))) / scale
 
         rng = np.random.default_rng(61)
         points = np.array(sample_hessian_points(f, 10, seed=1))
@@ -181,7 +180,7 @@ class TestExactPreSteps:
             self.check_restrictions(he, lines)
             den, grad = _integer_gradient(he)
             for base, direction in lines:
-                assert he.evaluate(direction) == 0
+                assert evaluate(he, direction) == 0
                 assert _restrict_to_line(den, grad, base, direction)[-1] == 0
 
 
