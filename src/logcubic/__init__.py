@@ -2,7 +2,7 @@
 
 The exact layer works entirely over arbitrary-precision rationals: sparse
 homogeneous forms in three variables, fraction-free linear algebra,
-resultants, the classical polar/Hessian/Cayleyan constructions, jumping
+resultants, the classical Hessian and Cayleyan constructions, jumping
 lines of the logarithmic tangent sheaf, the degree-3 Jacobi hyperplane,
 and reconstruction of a Hesse-pencil cubic from those two invariants.
 A small numeric layer validates the polar involution on Hessian curves
@@ -11,8 +11,6 @@ with seeded double-precision sampling.
 
 from .cubics import (
     SmoothnessVerdict,
-    conic_singular_point,
-    first_polar,
     hesse_cubic,
     hesse_parameter,
     hessian_curve,
@@ -75,11 +73,9 @@ __all__ = [
     "check_involution",
     "chern_data",
     "coefficient_vector",
-    "conic_singular_point",
     "counterexample_check",
     "d0_graded_dim",
     "det_form_matrix",
-    "first_polar",
     "form_from_coefficients",
     "forward_invariants",
     "hesse_cubic",

@@ -1,6 +1,6 @@
-"""Classical plane-cubic constructions: the Hesse pencil, first polars,
-Hessian curves, singular points of degenerate conics, smoothness testing,
-and the j-invariant along the Hesse pencil.
+"""Classical plane-cubic constructions: the Hesse pencil, Hessian curves,
+Gram matrices of conics, smoothness testing, and the j-invariant along the
+Hesse pencil.
 
 Everything here is exact, the smoothness verdict included: Hesse-pencil
 members are decided by t^3 != 1, every other cubic by the rank of the
@@ -10,22 +10,15 @@ multiplication map from triples of conics onto quartics.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from .errors import (
-    ConicRankError,
-    DegreeMismatchError,
-    InvalidPointError,
-    SingularCurveError,
-    ZeroInputError,
-)
+from .errors import DegreeMismatchError, SingularCurveError, ZeroInputError
 from .forms import (
     Scalar,
     TernaryForm,
     coefficient_vector,
     monomial_basis,
     partial_derivative,
-    zero_form,
 )
 from .linalg import ExactMatrix, det_form_matrix
 
@@ -85,34 +78,6 @@ def hesse_parameter(f: TernaryForm) -> Fraction | None:
     return -mu / (3 * lam)
 
 
-def canonical_point(coords: Sequence[Scalar]) -> tuple[Fraction, Fraction, Fraction]:
-    """Canonical representative of a projective point: last nonzero
-    coordinate scaled to 1."""
-    point = tuple(Fraction(c) for c in coords)
-    if len(point) != 3 or all(c == 0 for c in point):
-        raise InvalidPointError("projective point needs a nonzero coordinate")
-    pivot = max(i for i, c in enumerate(point) if c != 0)
-    return tuple(c / point[pivot] for c in point)
-
-
-def first_polar(f: TernaryForm, q: Sequence[Scalar]) -> TernaryForm:
-    """The polar conic a0*d0(f) + a1*d1(f) + a2*d2(f) of a cubic at a point.
-
-    Linear in the coordinates of q, which are used as given (no projective
-    rescaling).
-    """
-    if f.degree != 3:
-        raise DegreeMismatchError(f"first polar needs a cubic, got degree {f.degree}")
-    a = tuple(Fraction(c) for c in q)
-    if len(a) != 3 or all(c == 0 for c in a):
-        raise InvalidPointError("projective point needs a nonzero coordinate")
-    polar = zero_form(2, f.space)
-    for i in range(3):
-        if a[i] != 0:
-            polar = polar + partial_derivative(f, i).scale(a[i])
-    return polar
-
-
 def hessian_curve(f: TernaryForm) -> TernaryForm:
     """Determinant of the 3x3 matrix of second partials; a cubic form
     (possibly zero for degenerate inputs), taken with no normalization."""
@@ -141,21 +106,6 @@ def gram_matrix(conic: TernaryForm) -> ExactMatrix:
     return ExactMatrix(g)
 
 
-def conic_singular_point(conic: TernaryForm) -> tuple[Fraction, Fraction, Fraction]:
-    """The unique singular point of a rank-2 conic (a pair of distinct
-    lines), as the kernel direction of the Gram matrix."""
-    gram = gram_matrix(conic)
-    rank = gram.rank()
-    if rank == 3:
-        raise ConicRankError("conic is smooth; no singular point")
-    if rank <= 1:
-        raise ConicRankError(
-            f"conic has Gram rank {rank}; singular locus is not a single point"
-        )
-    kernel = gram.kernel_basis()
-    return canonical_point(kernel[0])
-
-
 def _syzygy_matrix(f: TernaryForm, k: int) -> ExactMatrix:
     """Matrix of (g0, g1, g2) -> sum g_i * d_i(f) from triples of degree
     (k+1) forms to degree (k+3) forms, columns ordered with the partial
@@ -165,7 +115,7 @@ def _syzygy_matrix(f: TernaryForm, k: int) -> ExactMatrix:
     for i in range(3):
         for mono in monomial_basis(k + 1):
             g = TernaryForm(k + 1, {mono: 1}, f.space)
-            columns.append(coefficient_vector(g * partials[i], k + 3))
+            columns.append(coefficient_vector(g * partials[i]))
     return ExactMatrix.from_columns(columns)
 
 

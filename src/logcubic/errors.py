@@ -50,22 +50,10 @@ class ResultantInputError(DomainError):
     category = "resultant-input"
 
 
-class InvalidPointError(DomainError):
-    """A projective point must have at least one nonzero coordinate."""
-
-    category = "invalid-point"
-
-
 class ZeroInputError(DomainError):
     """An argument that must be nonzero was zero."""
 
     category = "zero-input"
-
-
-class ConicRankError(DomainError):
-    """The conic's Gram matrix does not have rank exactly 2."""
-
-    category = "conic-rank"
 
 
 class SingularCurveError(DomainError):

@@ -88,9 +88,15 @@ def _raw_scale(a: _RawPoly, c: Fraction) -> _RawPoly:
 
 
 def _raw_pow(a: _RawPoly, n: int) -> _RawPoly:
+    """a^n by repeated squaring, so the number of products grows with the
+    bit length of n rather than its value."""
     out: _RawPoly = {(0, 0, 0): Fraction(1)}
-    for _ in range(n):
-        out = _raw_mul(out, a)
+    while n:
+        if n & 1:
+            out = _raw_mul(out, a)
+        n >>= 1
+        if n:
+            a = _raw_mul(a, a)
     return out
 
 
@@ -290,17 +296,12 @@ def partial_derivative(f: TernaryForm, i: int) -> TernaryForm:
     return TernaryForm(max(f.degree - 1, 0), out, f.space)
 
 
-def coefficient_vector(f: TernaryForm, degree: int | None = None) -> tuple[Fraction, ...]:
+def coefficient_vector(f: TernaryForm) -> tuple[Fraction, ...]:
     """Coefficients of f read along the graded-lex basis of its degree.
 
     Round-trips with :func:`form_from_coefficients`.
     """
-    d = f.degree if degree is None else degree
-    if f.degree != d:
-        raise DegreeMismatchError(
-            f"form has degree {f.degree}, basis has degree {d}"
-        )
-    return tuple(f.terms.get(mono, Fraction(0)) for mono in monomial_basis(d))
+    return tuple(f.terms.get(mono, Fraction(0)) for mono in monomial_basis(f.degree))
 
 
 def form_from_coefficients(

@@ -47,21 +47,9 @@ class ExactMatrix:
             raise MatrixShapeError("columns must have equal length")
         return cls([[col[i] for col in columns] for i in range(n)])
 
-    @classmethod
-    def identity(cls, n: int) -> "ExactMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
     def transpose(self) -> "ExactMatrix":
         return ExactMatrix(
             [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
-
-    def multiply_vector(self, v: Sequence[Scalar]) -> tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise MatrixShapeError(f"vector length {len(v)} != cols {self.cols}")
-        return tuple(
-            sum((row[j] * Fraction(v[j]) for j in range(self.cols)), Fraction(0))
-            for row in self.entries
         )
 
     def __eq__(self, other: object) -> bool:

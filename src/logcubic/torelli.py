@@ -178,10 +178,7 @@ def _reconstruct(inv: SheafInvariants) -> tuple[Fraction, Fraction, CandidateSet
     matches = [
         x
         for x in candidates.exact_roots
-        if x**3 != 1
-        and vectors_projectively_equal(
-            jacobi_degree3(hesse_cubic(x)), inv.hyperplane
-        )
+        if vectors_projectively_equal(jacobi_degree3(hesse_cubic(x)), inv.hyperplane)
     ]
     if not matches:
         raise InconsistentInvariantsError(

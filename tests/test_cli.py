@@ -307,6 +307,13 @@ class TestDeterminismAndErrors:
         assert code == 1
         assert report["error"]["category"] == "singular-curve"
 
+    def test_huge_exponent_refused_at_once(self, capsys):
+        # The exponent costs its bit length, not its value, before the
+        # degree check refuses the form.
+        code, report, _ = run_json(capsys, "analyze", "--form", "z0^1000000000")
+        assert code == 1
+        assert report["error"]["category"] == "degree-mismatch"
+
     def test_usage_error_exit_two(self, capsys):
         # No input cubic; --seed belongs to involution alone, also after a
         # negative value.

@@ -5,10 +5,6 @@ import pytest
 from logcubic.cubics import (
     SINGULAR,
     SMOOTH,
-    canonical_point,
-    conic_singular_point,
-    first_polar,
-    gram_matrix,
     hesse_cubic,
     hesse_parameter,
     hesse_pencil_split,
@@ -16,12 +12,7 @@ from logcubic.cubics import (
     is_smooth_cubic,
     j_invariant_hesse,
 )
-from logcubic.errors import (
-    ConicRankError,
-    InvalidPointError,
-    SingularCurveError,
-    ZeroInputError,
-)
+from logcubic.errors import SingularCurveError, ZeroInputError
 from logcubic.forms import parse_form, substitute_linear
 
 from conftest import evaluate, rand_fraction, rand_hesse_t, random_unimodular
@@ -60,30 +51,6 @@ class TestHesseCubic:
         assert hesse_pencil_split(parse_form("z0^3 + z1^2*z2")) is None
 
 
-class TestFirstPolar:
-    def test_fermat_at_e0(self):
-        assert first_polar(hesse_cubic(0), (1, 0, 0)) == parse_form("3*z0^2")
-
-    def test_hesse_two_at_e2(self):
-        assert first_polar(hesse_cubic(2), (0, 0, 1)) == parse_form("3*z2^2 - 6*z0*z1")
-
-    def test_zero_point_rejected(self):
-        with pytest.raises(InvalidPointError):
-            first_polar(hesse_cubic(0), (0, 0, 0))
-
-    def test_linear_in_the_point(self, rng):
-        f = hesse_cubic(Fraction(1, 3))
-        for _ in range(10):
-            q1 = [rand_fraction(rng) for _ in range(3)]
-            q2 = [rand_fraction(rng) for _ in range(3)]
-            q_sum = [a + b for a, b in zip(q1, q2)]
-            if all(c == 0 for c in q1) or all(c == 0 for c in q2) or all(
-                c == 0 for c in q_sum
-            ):
-                continue
-            assert first_polar(f, q_sum) == first_polar(f, q1) + first_polar(f, q2)
-
-
 class TestHessianCurve:
     def test_fermat(self):
         assert hessian_curve(hesse_cubic(0)) == parse_form("216*z0*z1*z2")
@@ -101,44 +68,6 @@ class TestHessianCurve:
             assert set(he.terms) <= PENCIL_MONOS
             cubes = {he.coefficient(m) for m in ((3, 0, 0), (0, 3, 0), (0, 0, 3))}
             assert len(cubes) == 1
-
-
-class TestConicSingularPoint:
-    def test_crossing_lines(self):
-        assert conic_singular_point(parse_form("z0*z1")) == (0, 0, 1)
-
-    def test_sum_of_squares(self):
-        assert conic_singular_point(parse_form("z0^2 + z1^2")) == (0, 0, 1)
-
-    def test_smooth_conic_rejected(self):
-        with pytest.raises(ConicRankError):
-            conic_singular_point(parse_form("z0^2 + z1^2 + z2^2"))
-
-    def test_double_line_rejected(self):
-        with pytest.raises(ConicRankError):
-            conic_singular_point(parse_form("z0^2"))
-
-    def test_kernel_property_random(self, rng):
-        # Built rank-2 conics: product of two independent random lines.
-        from logcubic.forms import linear_form
-
-        for _ in range(15):
-            a = linear_form([rand_fraction(rng) for _ in range(3)])
-            b = linear_form([rand_fraction(rng) for _ in range(3)])
-            if a.is_zero() or b.is_zero():
-                continue
-            conic = a * b
-            gram = gram_matrix(conic)
-            if gram.rank() != 2:
-                continue
-            point = conic_singular_point(conic)
-            assert gram.multiply_vector(point) == (Fraction(0),) * 3
-            assert evaluate(conic, point) == 0
-
-    def test_canonical_point_normalization(self):
-        assert canonical_point((2, 4, 0)) == (Fraction(1, 2), 1, 0)
-        with pytest.raises(InvalidPointError):
-            canonical_point((0, 0, 0))
 
 
 class TestSmoothness:
