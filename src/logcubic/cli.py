@@ -44,10 +44,10 @@ from .sheaf import (
 from .torelli import (
     CandidateSet,
     SheafInvariants,
+    _counterexample,
     _reconstruct,
     cayleyan_hesse_param,
     cayleyan_singularity_identity,
-    counterexample_check,
     forward_invariants,
 )
 
@@ -221,12 +221,11 @@ def cmd_counterexample(args) -> tuple[dict, dict]:
         raise ZeroInputError("--abc needs exactly three rationals")
     a, b, c = args.abc
     inputs = {"a": str(a), "b": str(b), "c": str(c)}
-    f = TernaryForm(3, {(3, 0, 0): a, (0, 3, 0): b, (0, 0, 3): c})
-    shared = counterexample_check(a, b, c)
+    shared, invariants = _counterexample(a, b, c)
     return inputs, {
         "invariants_independent_of_abc": shared,
-        "cayleyan": form_record(cayleyan_cubic(f)),
-        "normal": [str(x) for x in jacobi_degree3(f)],
+        "cayleyan": form_record(invariants.cayleyan),
+        "normal": [str(x) for x in invariants.hyperplane],
     }
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, gcd
 from typing import Mapping, Sequence, Union
 
 from .errors import (
@@ -371,6 +372,32 @@ def vectors_projectively_equal(
 # VAR is z0|z1|z2 in the primal space, a0|a1|a2 in the dual space.
 # Rational coefficients are written p/q between integer literals only.
 
+# The parser refuses a product or power before forming it when its result
+# could hold more terms or larger coefficients than these, so that parsing
+# work stays tied to the length of the text.
+MAX_PARSED_TERMS = 500
+MAX_PARSED_BITS = 4096
+
+
+def _size_bits(a: _RawPoly) -> int:
+    """log2(q) + log2(sum |q*c|), each rounded up, for q the lcm of a's
+    denominators.  It bounds log2 of every numerator and denominator in a,
+    and the value for a product is at most the sum of its factors' values."""
+    q = 1
+    for c in a.values():
+        q = q * c.denominator // gcd(q, c.denominator)
+    norm = sum(abs(c.numerator) * (q // c.denominator) for c in a.values())
+    return max(norm - 1, 0).bit_length() + (q - 1).bit_length()
+
+
+def _check_parsed_size(terms: int, bits: int) -> None:
+    if terms > MAX_PARSED_TERMS or bits > MAX_PARSED_BITS:
+        raise ParseError(
+            f"expansion too large: up to {terms} terms of {bits} bits, "
+            f"the limits are {MAX_PARSED_TERMS} terms and {MAX_PARSED_BITS} bits"
+        )
+
+
 class _Tokenizer:
     def __init__(self, text: str, space: str):
         self.tokens: list[tuple[str, object]] = []
@@ -436,7 +463,11 @@ def _parse_term(tk: _Tokenizer) -> _RawPoly:
     result = _parse_factor(tk)
     while tk.peek() == "*":
         tk.next()
-        result = _raw_mul(result, _parse_factor(tk))
+        factor = _parse_factor(tk)
+        _check_parsed_size(
+            len(result) * len(factor), _size_bits(result) + _size_bits(factor)
+        )
+        result = _raw_mul(result, factor)
     return result
 
 
@@ -447,6 +478,10 @@ def _parse_factor(tk: _Tokenizer) -> _RawPoly:
         kind, value = tk.next()
         if kind != "num":
             raise ParseError("exponent must be a non-negative integer")
+        # a^n has at most as many terms as there are multisets of n of a's
+        # terms.
+        terms = comb(len(base) + value - 1, value) if base else 1
+        _check_parsed_size(terms, value * _size_bits(base))
         return _raw_pow(base, value)
     return base
 

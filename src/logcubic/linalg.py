@@ -4,6 +4,9 @@ matrices whose entries are polynomial forms.
 Rank, determinant and kernel share one fraction-free (Bareiss)
 elimination on an integer-rescaled copy of the matrix, which keeps
 intermediate entries as minors of the input and avoids rational blow-up.
+A row whose entry in the pivot column is zero is left out of that step and
+carries the pivot it was last brought to in ``scaled_by``, so the work
+follows the nonzeros of the matrix while the echelon form stays Bareiss's.
 Kernel vectors are back-substituted from its integer echelon rows, so
 Fractions appear only in the result.
 """
@@ -85,11 +88,20 @@ class ExactMatrix:
         last pivot is the determinant of the rank-sized pivot minor up to
         sign; the sign of the row permutation; and the factor relating the
         integer copy's determinant to the original's.
+
+        Rows are scaled lazily.  Invariant: each row r not yet a pivot row
+        is its Bareiss row times scaled_by[r] / prev, where prev is the last
+        pivot and scaled_by[r] the pivot of the last step that updated row
+        r.  A step leaves out the rows with a zero in its column; it updates
+        the others to (pivot * x - factor * y) // scaled_by[r], which is
+        exact because the quotient is the Bareiss entry, and brings its
+        pivot row to scale first.  So the echelon form is Bareiss's.
         """
         m, scaling = self._integer_rows()
         rows, cols = self.rows, self.cols
         sign = 1
         prev = 1
+        scaled_by = [1] * rows
         pivot_cols: list[int] = []
         for col in range(cols):
             rank = len(pivot_cols)
@@ -100,13 +112,23 @@ class ExactMatrix:
                 continue
             if pivot_row != rank:
                 m[rank], m[pivot_row] = m[pivot_row], m[rank]
+                scaled_by[rank], scaled_by[pivot_row] = scaled_by[pivot_row], scaled_by[rank]
                 sign = -sign
-            pivot = m[rank][col]
+            top = m[rank]
+            if scaled_by[rank] != prev:
+                lag = scaled_by[rank]
+                top = m[rank] = [x * prev // lag for x in top]
+            pivot = top[col]
             for r in range(rank + 1, rows):
-                factor = m[r][col]
+                row = m[r]
+                factor = row[col]
+                if factor == 0:
+                    continue
+                lag = scaled_by[r]
                 for c in range(col + 1, cols):
-                    m[r][c] = (pivot * m[r][c] - factor * m[rank][c]) // prev
-                m[r][col] = 0
+                    row[c] = (pivot * row[c] - factor * top[c]) // lag
+                row[col] = 0
+                scaled_by[r] = pivot
             prev = pivot
             pivot_cols.append(col)
             if len(pivot_cols) == rows:

@@ -209,15 +209,22 @@ def counterexample_check(a: Scalar, b: Scalar, c: Scalar) -> bool:
     """True when the cubic a*z0^3 + b*z1^3 + c*z2^3 has the invariant pair
     shared by the whole family: jumping-line cubic a0*a1*a2 = 0 and the
     hyperplane normal supported on the z0*z1*z2 coefficient alone."""
+    return _counterexample(a, b, c)[0]
+
+
+def _counterexample(a: Scalar, b: Scalar, c: Scalar) -> tuple[bool, SheafInvariants]:
+    """The verdict of counterexample_check and the invariants it compares,
+    each computed once.  A zero coefficient is refused as zero input before
+    the smoothness gates of the invariants could call the curve singular."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a == 0 or b == 0 or c == 0:
         raise ZeroInputError("family coefficients a, b, c must all be nonzero")
     f = TernaryForm(3, {(3, 0, 0): a, (0, 3, 0): b, (0, 0, 3): c})
-    product_dual = monomial_form((1, 1, 1), 1, DUAL)
-    if not projectively_equal(cayleyan_cubic(f), product_dual):
-        return False
-    normal = jacobi_degree3(f)
+    invariants = SheafInvariants(cayleyan=cayleyan_cubic(f), hyperplane=jacobi_degree3(f))
     expected = tuple(
         Fraction(1 if mono == (1, 1, 1) else 0) for mono in monomial_basis(3)
     )
-    return vectors_projectively_equal(normal, expected)
+    shared = projectively_equal(
+        invariants.cayleyan, monomial_form((1, 1, 1), 1, DUAL)
+    ) and vectors_projectively_equal(invariants.hyperplane, expected)
+    return shared, invariants

@@ -197,6 +197,27 @@ class TestOtherCommands:
         assert code == 0
         assert report["outputs"]["invariants_independent_of_abc"] is True
 
+    def test_counterexample_invariants_computed_once(self, capsys, monkeypatch):
+        import logcubic.torelli
+
+        calls = []
+        for name in ("cayleyan_cubic", "jacobi_degree3"):
+            original = getattr(logcubic.torelli, name)
+            monkeypatch.setattr(
+                logcubic.torelli, name,
+                lambda f, name=name, original=original: calls.append(name) or original(f),
+            )
+        code, report, _ = run_json(capsys, "counterexample", "--abc", "2,3,-5")
+        assert code == 0
+        assert sorted(calls) == ["cayleyan_cubic", "jacobi_degree3"]
+        assert report["outputs"]["cayleyan"]["coeffs"][4] == "1620"
+
+    def test_counterexample_zero_input_before_singular(self, capsys):
+        # a*z0^3 + c*z2^3 is singular, but the zero coefficient is named.
+        code, report, _ = run_json(capsys, "counterexample", "--abc", "1,0,1")
+        assert code == 1
+        assert report["error"]["category"] == "zero-input"
+
     def test_chern(self, capsys):
         code, report, _ = run_json(capsys, "chern", "-d", "3", "-k", "0")
         assert report["outputs"] == {"c1": 0, "c2": 3}
@@ -313,6 +334,11 @@ class TestDeterminismAndErrors:
         code, report, _ = run_json(capsys, "analyze", "--form", "z0^1000000000")
         assert code == 1
         assert report["error"]["category"] == "degree-mismatch"
+
+    def test_oversized_expansion_refused_at_once(self, capsys):
+        code, report, _ = run_json(capsys, "analyze", "--form", "2^1000000000000*z0^3 + z1^3 + z2^3")
+        assert code == 1
+        assert report["error"]["category"] == "parse-error"
 
     def test_usage_error_exit_two(self, capsys):
         # No input cubic; --seed belongs to involution alone, also after a

@@ -16,10 +16,11 @@ from logcubic.forms import (
     form_from_coefficients,
     parse_form,
     partial_derivative,
+    projectively_equal,
     substitute_linear,
     variable,
 )
-from logcubic.sheaf import d0_graded_dim, is_stable, jacobi_degree3
+from logcubic.sheaf import cayleyan_cubic, d0_graded_dim, is_stable, jacobi_degree3
 
 LAWS = settings(
     derandomize=True,
@@ -49,6 +50,19 @@ def det3(a) -> Fraction:
         - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
         + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
     )
+
+
+def inverse_transpose(a):
+    """A^{-T}: the cofactor matrix of A over det(A)."""
+    det = det3(a)
+    return [
+        [
+            (a[(i + 1) % 3][(j + 1) % 3] * a[(i + 2) % 3][(j + 2) % 3]
+             - a[(i + 1) % 3][(j + 2) % 3] * a[(i + 2) % 3][(j + 1) % 3]) / det
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
 
 
 def transform(f, a):
@@ -85,3 +99,15 @@ def test_jacobi_normal_annihilates_the_jacobian_ideal(f, a):
         for j in range(3):
             cubic = variable(i) * partial_derivative(g, j)
             assert sum(n * c for n, c in zip(normal, coefficient_vector(cubic))) == 0
+
+
+@LAWS
+@given(f=st.one_of(pencil_cubics, dense_cubics), a=matrices)
+def test_cayleyan_is_contravariant(f, a):
+    # The line a.z = 0 of g's plane is the line (A^{-T} a).w = 0 of f's, so
+    # g's jumping lines are f's moved by A^T.
+    g, _ = transform(f, a)
+    assume(is_smooth_cubic(f).is_smooth)
+    assert projectively_equal(
+        cayleyan_cubic(g), substitute_linear(cayleyan_cubic(f), inverse_transpose(a))
+    )

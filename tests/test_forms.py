@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -73,6 +74,25 @@ class TestParse:
         f = parse_form("z0^1000000000")
         assert f.degree == 10**9
         assert f.terms == {(10**9, 0, 0): 1}
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(z0+2*z1)^3000", "(z0+z1+z2)^64", "2^1000000000000*z0^3", "((z0+z1+z2)^8)^8",
+         "(z0+z1+z2)^15*(z0+z1+z2)^15"],
+    )
+    def test_oversized_expansion_refused_at_once(self, text):
+        # Refused from the sizes of the factors, before the product is formed.
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="expansion too large"):
+            parse_form(text)
+        assert time.perf_counter() - start < 0.1
+
+    def test_expansion_limits_spare_ordinary_forms(self):
+        assert parse_form("2^10*z0^3").terms == {(3, 0, 0): 1024}
+        assert len(parse_form("(z0+z1+z2)^30").terms) == 496
+        assert len(parse_form("(2/3*z0 - 5/7*z1)^60").terms) == 61
+        # A power of a monomial with coefficient +-1 costs nothing.
+        assert parse_form("(-z0*z1)^999999").terms == {(999999, 999999, 0): -1}
 
     def test_rational_coefficients(self):
         f = parse_form("7/3*z0^2 - 1/2*z1*z2")

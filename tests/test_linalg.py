@@ -3,6 +3,9 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+import sympy
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 from logcubic.cubics import hesse_cubic, hessian_curve
 from logcubic.errors import MatrixShapeError, ResultantInputError
@@ -165,6 +168,70 @@ class TestExactMatrix:
         m = ExactMatrix.from_columns(cols)
         assert m.rows == 4 and m.cols == 3
         assert m.transpose().entries == tuple(tuple(c) for c in cols)
+
+
+# -- elimination against sympy ------------------------------------------------
+
+nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A sparse rational matrix of planted rank at most `rank`, square and
+    of full rank often enough that the determinant is tested: staircase rows
+    that start at a drawn column, so that rows below a pivot skip several
+    elimination steps before one updates them, then combinations of two of
+    them, then zero rows; one column may be zeroed throughout.  The rows
+    come shuffled."""
+    rows = draw(st.integers(1, 8))
+    cols = draw(st.just(rows) | st.integers(1, 8))
+    rank = draw(st.just(min(rows, cols)) | st.integers(0, min(rows, cols)))
+    base = []
+    for _ in range(rank):
+        lead = draw(st.integers(0, cols - 1))
+        row = [Fraction(0)] * cols
+        row[lead] = draw(nonzero_rationals)
+        for c in draw(st.sets(st.integers(lead, cols - 1), max_size=3)):
+            row[c] = draw(nonzero_rationals)
+        base.append(row)
+    entries = list(base)
+    while len(entries) < rows:
+        if base and draw(st.booleans()):
+            a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+            x, y = draw(nonzero_rationals), draw(nonzero_rationals)
+            entries.append([x * u + y * v for u, v in zip(a, b)])
+        else:
+            entries.append([Fraction(0)] * cols)
+    zero_col = draw(st.none() | st.integers(0, cols - 1))
+    if zero_col is not None:
+        for row in entries:
+            row[zero_col] = Fraction(0)
+    return draw(st.permutations(entries))
+
+
+def sympy_matrix(entries):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in entries])
+
+
+# No explain phase: its line tracer made shrinking a failure take minutes.
+@settings(derandomize=True, database=None, deadline=None, max_examples=100,
+          phases=[Phase.explicit, Phase.generate, Phase.shrink],
+          suppress_health_check=[HealthCheck.too_slow])
+@given(entries=sparse_matrices())
+def test_elimination_matches_sympy(entries):
+    m, oracle = ExactMatrix(entries), sympy_matrix(entries)
+    rank = oracle.rank()
+    assert m.rank() == rank
+    if m.rows == m.cols:
+        assert m.determinant() == Fraction(str(oracle.det()))
+    basis = m.kernel_basis()
+    nullspace = oracle.nullspace()
+    assert len(basis) == len(nullspace) == m.cols - rank
+    if basis:
+        ours = sympy_matrix(basis)
+        assert (oracle * ours.T).is_zero_matrix
+        # Same span: the sympy basis adds nothing to ours.
+        assert ours.col_join(sympy.Matrix.hstack(*nullspace).T).rank() == len(basis)
 
 
 # -- form-matrix determinants --------------------------------------------------
