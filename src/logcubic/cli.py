@@ -34,6 +34,8 @@ from .forms import (
 )
 from .involution import check_involution
 from .sheaf import (
+    _cayleyan_cubic,
+    _jacobi_degree3,
     _jumping_rank,
     _splitting_of_rank,
     cayleyan_cubic,
@@ -147,8 +149,9 @@ def cmd_analyze(args) -> tuple[dict, dict]:
             outputs["j_invariant"] = str(j_invariant_hesse(t))
             outputs["cayleyan_s"] = str(cayleyan_hesse_param(t)) if t != 0 else None
     if verdict.is_smooth:
-        outputs["cayleyan"] = form_record(cayleyan_cubic(f))
-        outputs["jacobi_normal"] = [str(c) for c in jacobi_degree3(f)]
+        # The verdict above is the gate; the ungated bodies do not decide it again.
+        outputs["cayleyan"] = form_record(_cayleyan_cubic(f))
+        outputs["jacobi_normal"] = [str(c) for c in _jacobi_degree3(f)]
     return inputs, outputs
 
 

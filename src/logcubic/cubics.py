@@ -106,17 +106,24 @@ def gram_matrix(conic: TernaryForm) -> ExactMatrix:
     return ExactMatrix(g)
 
 
-def _syzygy_matrix(f: TernaryForm, k: int) -> ExactMatrix:
-    """Matrix of (g0, g1, g2) -> sum g_i * d_i(f) from triples of degree
-    (k+1) forms to degree (k+3) forms, columns ordered with the partial
-    index outer and the graded-lex monomial of g inner."""
+def _syzygy_columns(f: TernaryForm, k: int) -> list[tuple[Fraction, ...]]:
+    """Coefficient vectors of the degree (k+3) forms z^m * d_i(f), for every
+    degree (k+1) monomial z^m, with the partial index i outer and the
+    graded-lex monomial inner: the columns of :func:`_syzygy_matrix`."""
     partials = [partial_derivative(f, i) for i in range(3)]
     columns = []
     for i in range(3):
         for mono in monomial_basis(k + 1):
             g = TernaryForm(k + 1, {mono: 1}, f.space)
             columns.append(coefficient_vector(g * partials[i]))
-    return ExactMatrix.from_columns(columns)
+    return columns
+
+
+def _syzygy_matrix(f: TernaryForm, k: int) -> ExactMatrix:
+    """Matrix of (g0, g1, g2) -> sum g_i * d_i(f) from triples of degree
+    (k+1) forms to degree (k+3) forms, columns ordered with the partial
+    index outer and the graded-lex monomial of g inner."""
+    return ExactMatrix.from_columns(_syzygy_columns(f, k))
 
 
 def is_smooth_cubic(f: TernaryForm) -> SmoothnessVerdict:

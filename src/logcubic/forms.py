@@ -32,6 +32,10 @@ DUAL = "dual"
 
 _VARS = {PRIMAL: ("z0", "z1", "z2"), DUAL: ("a0", "a1", "a2")}
 
+# The one Fraction every zero entry of a coefficient read refers to, so a
+# vector of mostly zero entries holds no zero objects of its own.
+ZERO = Fraction(0)
+
 
 @lru_cache(maxsize=None)
 def monomial_basis(degree: int) -> tuple[Monomial, ...]:
@@ -147,7 +151,7 @@ class TernaryForm:
         return not self.terms
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+        return self.terms.get(tuple(mono), ZERO)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -298,11 +302,12 @@ def partial_derivative(f: TernaryForm, i: int) -> TernaryForm:
 
 
 def coefficient_vector(f: TernaryForm) -> tuple[Fraction, ...]:
-    """Coefficients of f read along the graded-lex basis of its degree.
+    """Coefficients of f read along the graded-lex basis of its degree; every
+    zero entry is the shared Fraction :data:`ZERO`.
 
     Round-trips with :func:`form_from_coefficients`.
     """
-    return tuple(f.terms.get(mono, Fraction(0)) for mono in monomial_basis(f.degree))
+    return tuple(f.terms.get(mono, ZERO) for mono in monomial_basis(f.degree))
 
 
 def form_from_coefficients(

@@ -14,10 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .cubics import _syzygy_matrix, is_smooth_cubic
+from .cubics import _syzygy_columns, _syzygy_matrix, is_smooth_cubic
 from .errors import DegreeMismatchError, SingularCurveError, ZeroInputError
 from .forms import (
     DUAL,
+    ZERO,
     TernaryForm,
     coefficient_vector,
     constant_form,
@@ -120,7 +121,12 @@ def cayleyan_cubic(f: TernaryForm) -> TernaryForm:
     included.  Raises SingularCurveError on a singular cubic.
     """
     _require_smooth(f)
+    return _cayleyan_cubic(f)
 
+
+def _cayleyan_cubic(f: TernaryForm) -> TernaryForm:
+    """The work of :func:`cayleyan_cubic` for a cubic already known to be
+    smooth, without the smoothness gate."""
     # Symbolic columns: entry (row m, col i) is the dual linear form giving
     # the coefficient of basis monomial m in z_i * (a0 z0 + a1 z1 + a2 z2);
     # the product z_i z_j contributes a_j to the row of that monomial.
@@ -142,14 +148,15 @@ def cayleyan_cubic(f: TernaryForm) -> TernaryForm:
 
 def canonical_normal(vector: Sequence[Fraction]) -> HyperplaneNormal:
     """Scale a hyperplane normal so its z0*z1*z2 entry is 1; when that entry
-    vanishes, scale the first nonzero entry (graded-lex order) to 1."""
+    vanishes, scale the first nonzero entry (graded-lex order) to 1.  Every
+    zero entry of the result is the shared Fraction ``forms.ZERO``."""
     v = tuple(Fraction(x) for x in vector)
     pivot = v[PRODUCT_INDEX]
     if pivot == 0:
         pivot = next((x for x in v if x != 0), None)
         if pivot is None:
             raise ZeroInputError("hyperplane normal must be nonzero")
-    return tuple(x / pivot for x in v)
+    return tuple(x / pivot if x else ZERO for x in v)
 
 
 def jacobi_degree3(f: TernaryForm) -> HyperplaneNormal:
@@ -157,13 +164,39 @@ def jacobi_degree3(f: TernaryForm) -> HyperplaneNormal:
     cubic, as a canonical 10-vector over the graded-lex cubic basis.
 
     The multiplication map from triples of linear forms into cubics is
-    injective for smooth f, so its image is a hyperplane; the normal spans
-    the kernel of the transposed 10x9 matrix.  Raises SingularCurveError on
-    a singular cubic.
+    injective for smooth f, so the nine cubics z_i * d_j(f) span a
+    hyperplane; the normal spans the kernel of the 9x10 matrix whose rows
+    are their coefficient vectors.  Raises SingularCurveError on a singular
+    cubic.
     """
     _require_smooth(f)
-    kernel = _syzygy_matrix(f, 0).transpose().kernel_basis()
+    return _jacobi_degree3(f)
+
+
+def _jacobi_degree3(f: TernaryForm) -> HyperplaneNormal:
+    """The work of :func:`jacobi_degree3` for a cubic already known to be
+    smooth, without the smoothness gate."""
+    kernel = ExactMatrix(_syzygy_columns(f, 0)).kernel_basis()
     return canonical_normal(kernel[0])
+
+
+def _is_jacobi_normal(f: TernaryForm, normal: Sequence[Fraction]) -> bool:
+    """True when the nonzero 10-vector normal pairs to zero with each of the
+    nine cubics z_i * d_j(f), that is when J_3(f) lies in the hyperplane
+    with that normal; False for the zero vector or a vector of another
+    length.
+
+    For smooth f the partials have no linear syzygy, so the nine cubics
+    span the 9-dimensional hyperplane J_3(f), and this holds exactly when
+    normal is a nonzero multiple of :func:`jacobi_degree3` of f.  No kernel
+    is solved and smoothness is not checked; the caller vouches for it.
+    """
+    columns = _syzygy_columns(f, 0)
+    if len(normal) != len(columns[0]) or not any(normal):
+        return False
+    return all(
+        sum(n * c for n, c in zip(normal, column) if c) == 0 for column in columns
+    )
 
 
 def is_jumping_cubic(f: TernaryForm, g: TernaryForm) -> bool:

@@ -5,7 +5,9 @@ The forward map sends a smooth pencil member to its jumping-line cubic (in
 dual coordinates) and the normal vector of the degree-3 Jacobi hyperplane.
 Reading the dual cubic in normalized Hesse form yields a parameter s; the
 source parameter is then one of at most three roots of x^3 - 3sx + 2 = 0,
-and the hyperplane normal picks out the right one.  When the dual cubic is
+and the hyperplane normal picks out the right one: a candidate is kept when
+the normal pairs to zero with the nine cubics z_i * d_j of its pencil
+member, so no kernel is solved per candidate.  When the dual cubic is
 singular (s^3 = 1, equivalently j = 0, or the degenerate product-of-lines
 case) the candidates cannot be separated and reconstruction refuses.
 
@@ -39,7 +41,12 @@ from .forms import (
     variable,
     vectors_projectively_equal,
 )
-from .sheaf import HyperplaneNormal, cayleyan_cubic, jacobi_degree3
+from .sheaf import (
+    HyperplaneNormal,
+    _is_jacobi_normal,
+    cayleyan_cubic,
+    jacobi_degree3,
+)
 
 
 class SheafInvariants(NamedTuple):
@@ -158,16 +165,26 @@ def reconstruct(inv: SheafInvariants) -> Fraction:
 
     The dual cubic determines s (refusing when it is singular: that is the
     j = 0 failure locus), the candidate equation x^3 - 3sx + 2 = 0 yields at
-    most three parameters, and the hyperplane normal of each candidate is
-    compared projectively with the given one; exactness makes the match
-    unique whenever the dual cubic is smooth.
+    most three parameters, and the candidate whose Jacobi hyperplane has the
+    given normal is kept; exactness makes the match unique whenever the
+    dual cubic is smooth.
     """
     return _reconstruct(inv)[0]
 
 
 def _reconstruct(inv: SheafInvariants) -> tuple[Fraction, Fraction, CandidateSet]:
     """The work of :func:`reconstruct`, returning the recovered parameter
-    together with s and the candidate set it was chosen from."""
+    together with s and the candidate set it was chosen from.
+
+    A candidate x is kept when the given normal N is nonzero and pairs to
+    zero with the nine cubics z_i * d_j(g) of g = hesse_cubic(x), which is
+    J_3(g) lying in the hyperplane N.  Every candidate is smooth: x^3 = 1
+    would force s = 1/x, as x^3 - 3sx + 2 = 0, so s^3 = 1, which is refused
+    first.  The partials of a smooth cubic have no linear syzygy, so the
+    nine cubics span its 9-dimensional hyperplane, and a nonzero N pairs to
+    zero with all nine exactly when N is projectively equal to
+    ``jacobi_degree3(g)``, which is not computed.
+    """
     s = _dual_hesse_parameter(inv.cayleyan)
     if s**3 == 1:
         raise CayleyanSingularError(
@@ -178,7 +195,7 @@ def _reconstruct(inv: SheafInvariants) -> tuple[Fraction, Fraction, CandidateSet
     matches = [
         x
         for x in candidates.exact_roots
-        if vectors_projectively_equal(jacobi_degree3(hesse_cubic(x)), inv.hyperplane)
+        if _is_jacobi_normal(hesse_cubic(x), inv.hyperplane)
     ]
     if not matches:
         raise InconsistentInvariantsError(

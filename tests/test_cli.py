@@ -268,6 +268,31 @@ class TestOtherCommands:
         assert report["outputs"]["smoothness"]["status"] == "smooth"
         assert "jacobi_normal" in report["outputs"]
 
+    @pytest.mark.parametrize(
+        "form, status",
+        [("z0^3 + z1^3 + z2^3 + z0^2*z1 - 5*z1*z2^2", "smooth"), ("z1^2*z2 - z0^3", "singular")],
+    )
+    def test_analyze_decides_smoothness_once(self, capsys, monkeypatch, form, status):
+        import logcubic.cli
+        import logcubic.cubics
+        import logcubic.sheaf
+
+        calls = []
+        original = logcubic.cubics.is_smooth_cubic
+
+        def counting(f):
+            calls.append(f)
+            return original(f)
+
+        # Whichever module's binding a call goes through, it is counted.
+        for module in (logcubic.cubics, logcubic.sheaf, logcubic.cli):
+            monkeypatch.setattr(module, "is_smooth_cubic", counting)
+        code, report, _ = run_json(capsys, "analyze", "--form", form)
+        assert code == 0
+        assert report["outputs"]["smoothness"]["status"] == status
+        assert ("jacobi_normal" in report["outputs"]) == (status == "smooth")
+        assert len(calls) == 1
+
 
 class TestSweepCommand:
     def test_reference_rows(self, capsys):

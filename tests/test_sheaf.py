@@ -12,6 +12,7 @@ from logcubic.errors import (
 )
 from logcubic.forms import (
     DUAL,
+    ZERO,
     TernaryForm,
     coefficient_vector,
     linear_form,
@@ -22,9 +23,14 @@ from logcubic.forms import (
     projectively_equal,
     substitute_linear,
     variable,
+    vectors_projectively_equal,
 )
+from logcubic.linalg import ExactMatrix
 from logcubic.sheaf import (
     PRODUCT_INDEX,
+    _is_jacobi_normal,
+    _syzygy_columns,
+    canonical_normal,
     cayleyan_cubic,
     chern_data,
     d0_graded_dim,
@@ -36,7 +42,13 @@ from logcubic.sheaf import (
     splitting_type,
 )
 
-from conftest import evaluate, rand_fraction, rand_hesse_t, random_unimodular
+from conftest import (
+    evaluate,
+    rand_fraction,
+    rand_hesse_t,
+    rand_nonzero_fraction,
+    random_unimodular,
+)
 from test_linalg import naive_rank
 
 
@@ -273,6 +285,81 @@ class TestJacobiHyperplane:
             jacobi_degree3(parse_form(text))
         with pytest.raises(SingularCurveError):
             is_jumping_cubic(parse_form(text), parse_form("z0^3"))
+
+
+def pairing_cubics(rng) -> list[TernaryForm]:
+    """Seeded smooth cubics of three kinds, four each: dense with nonzero
+    integer coefficients, dense with coefficients p/q, and pencil members."""
+    draws = (lambda: rng.choice([-1, 1]) * rng.randint(1, 9), lambda: rand_nonzero_fraction(rng))
+    cubics = []
+    for draw in draws:
+        found = 0
+        while found < 4:
+            f = TernaryForm(3, {mono: draw() for mono in monomial_basis(3)})
+            if is_smooth_cubic(f).is_smooth:
+                cubics.append(f)
+                found += 1
+    return cubics + [hesse_cubic(t) for t in (0, 2, Fraction(-5, 3), rand_hesse_t(rng))]
+
+
+class TestJacobiNormalPairing:
+    """The pairing check that reconstruction keeps a candidate by, against
+    the route it replaced: solve the kernel, then compare projectively."""
+
+    @staticmethod
+    def oracle(f: TernaryForm, normal) -> bool:
+        return vectors_projectively_equal(jacobi_degree3(f), normal)
+
+    def test_true_and_scaled_normals(self, rng):
+        for f in pairing_cubics(rng):
+            normal = jacobi_degree3(f)
+            for scale in (1, -3, Fraction(2, 7)):
+                candidate = tuple(scale * x for x in normal)
+                assert _is_jacobi_normal(f, candidate) is True
+                assert self.oracle(f, candidate) is True
+
+    def test_perturbed_normals(self, rng):
+        for f in pairing_cubics(rng):
+            normal = jacobi_degree3(f)
+            for i in range(10):
+                bumped = tuple(x + 1 if j == i else x for j, x in enumerate(normal))
+                assert _is_jacobi_normal(f, bumped) is self.oracle(f, bumped)
+
+    def test_zero_and_short_normals_refused(self, rng):
+        for f in pairing_cubics(rng):
+            zero = (Fraction(0),) * 10
+            assert _is_jacobi_normal(f, zero) is False
+            assert self.oracle(f, zero) is False
+            short = jacobi_degree3(f)[:9]
+            assert _is_jacobi_normal(f, short) is False
+            assert self.oracle(f, short) is False
+
+    def test_kernel_of_eight_columns(self, rng):
+        # A vector that pairs to zero with eight of the nine cubics but is
+        # not the normal must fail on the ninth, whichever one that is.
+        for f in pairing_cubics(rng)[::3]:
+            columns = _syzygy_columns(f, 0)
+            normal = jacobi_degree3(f)
+            for dropped in range(9):
+                kept = columns[:dropped] + columns[dropped + 1:]
+                kernel = ExactMatrix(kept).kernel_basis()
+                assert len(kernel) == 2
+                vector = next(v for v in kernel if not vectors_projectively_equal(v, normal))
+                assert _is_jacobi_normal(f, vector) is False
+                assert self.oracle(f, vector) is False
+
+
+class TestSharedZero:
+    def test_zero_entries_are_the_shared_fraction(self, rng):
+        for f in pairing_cubics(rng):
+            normal = jacobi_degree3(f)
+            vectors = [coefficient_vector(f), normal, canonical_normal(normal)]
+            vectors += _syzygy_columns(f, 0)
+            for vector in vectors:
+                assert all(isinstance(x, Fraction) for x in vector)
+                assert all(x is ZERO for x in vector if x == 0)
+        assert hesse_cubic(2).coefficient((2, 1, 0)) is ZERO
+        assert canonical_normal([0, 0, 3, 0, 0, 0, 0, 0, 0, 6])[0] is ZERO
 
 
 class TestJumpingCubic:

@@ -168,6 +168,18 @@ class TestReconstruct:
             assert inv.hyperplane == (t, 0, 0, 0, 1, 0, t, 0, 0, t)
             assert inv.hyperplane[0] / inv.hyperplane[PRODUCT_INDEX] == reconstruct(inv) == t
 
+    def test_candidates_checked_without_solving_a_kernel(self, monkeypatch):
+        # The normal is paired with each candidate's Jacobian cubics.
+        from logcubic.linalg import ExactMatrix
+
+        invariants = [forward_invariants(t) for t in (2, Fraction(1, 2), Fraction(-7, 4))]
+
+        def refuse(matrix):
+            raise AssertionError("reconstruct solved a kernel")
+
+        monkeypatch.setattr(ExactMatrix, "kernel_basis", refuse)
+        assert [reconstruct(inv) for inv in invariants] == [2, Fraction(1, 2), Fraction(-7, 4)]
+
     def test_refuses_product_family(self):
         with pytest.raises(CayleyanSingularError):
             reconstruct(forward_invariants(0))
