@@ -126,6 +126,18 @@ def _syzygy_matrix(f: TernaryForm, k: int) -> ExactMatrix:
     return ExactMatrix.from_columns(_syzygy_columns(f, k))
 
 
+# The quartics, the target of :func:`_syzygy_matrix` at k = 1.
+_QUARTICS = len(monomial_basis(4))
+
+
+def _quartic_rank(f: TernaryForm) -> int:
+    """How many of the _QUARTICS quartics the partials of the cubic f
+    give: the rank of the map from triples of conics to quartics.  The
+    partials give all of them exactly when f is smooth; the zero form
+    gives none."""
+    return _syzygy_matrix(f, 1).rank()
+
+
 def is_smooth_cubic(f: TernaryForm) -> SmoothnessVerdict:
     """Decide smoothness of a plane cubic exactly.
 
@@ -151,10 +163,12 @@ def is_smooth_cubic(f: TernaryForm) -> SmoothnessVerdict:
             return SmoothnessVerdict(SINGULAR, f"Hesse parameter t = {t} has t^3 = 1")
         return SmoothnessVerdict(SMOOTH, f"Hesse parameter t = {t} has t^3 != 1")
 
-    rank = _syzygy_matrix(f, 1).rank()
-    if rank == 15:
-        return SmoothnessVerdict(SMOOTH, "partials generate all 15 quartics")
-    return SmoothnessVerdict(SINGULAR, f"partials generate only {rank} of 15 quartics")
+    rank = _quartic_rank(f)
+    if rank == _QUARTICS:
+        return SmoothnessVerdict(SMOOTH, f"partials generate all {_QUARTICS} quartics")
+    return SmoothnessVerdict(
+        SINGULAR, f"partials generate only {rank} of {_QUARTICS} quartics"
+    )
 
 
 def j_invariant_hesse(t: Scalar) -> Fraction:

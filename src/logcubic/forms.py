@@ -265,7 +265,7 @@ def constant_form(value: Scalar, space: str = PRIMAL) -> TernaryForm:
 def variable(i: int, space: str = PRIMAL) -> TernaryForm:
     if i not in (0, 1, 2):
         raise DegreeMismatchError(f"variable index must be 0..2, got {i}")
-    mono = tuple(1 if j == i else 0 for j in range(3))
+    mono = tuple([1 if j == i else 0 for j in range(3)])
     return TernaryForm(1, {mono: Fraction(1)}, space)
 
 
@@ -307,7 +307,7 @@ def coefficient_vector(f: TernaryForm) -> tuple[Fraction, ...]:
 
     Round-trips with :func:`form_from_coefficients`.
     """
-    return tuple(f.terms.get(mono, ZERO) for mono in monomial_basis(f.degree))
+    return tuple([f.terms.get(mono, ZERO) for mono in monomial_basis(f.degree)])
 
 
 def form_from_coefficients(
@@ -503,7 +503,7 @@ def _parse_atom(tk: _Tokenizer) -> _RawPoly:
             coeff = Fraction(value, dval)
         return {(0, 0, 0): coeff} if coeff != 0 else {}
     if kind == "var":
-        mono = tuple(1 if j == value else 0 for j in range(3))
+        mono = tuple([1 if j == value else 0 for j in range(3)])
         return {mono: Fraction(1)}
     if kind == "(":
         inner = _parse_expr(tk)

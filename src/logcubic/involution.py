@@ -164,7 +164,7 @@ def _restrict_to_line(
 
 def _random_projective_point(rng: random.Random) -> tuple[int, ...]:
     while True:
-        point = tuple(rng.randint(-9, 9) for _ in range(3))
+        point = tuple([rng.randint(-9, 9) for _ in range(3)])
         if any(c != 0 for c in point):
             return point
 

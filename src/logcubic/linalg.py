@@ -33,7 +33,11 @@ class ExactMatrix:
         cols = len(entries[0])
         if cols == 0 or any(len(row) != cols for row in entries):
             raise MatrixShapeError("rows must be nonempty and equal length")
-        frozen = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        # Tuples here and in the other hot constructors are built from lists.
+        # tuple(<generator>) resizes its result, so the result skips
+        # CPython's per-size tuple free list when it is made but joins that
+        # list when it is freed, and the lists fill up to their cap.
+        frozen = tuple([tuple([Fraction(x) for x in row]) for row in entries])
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", frozen)
@@ -49,11 +53,6 @@ class ExactMatrix:
         if any(len(col) != n for col in columns):
             raise MatrixShapeError("columns must have equal length")
         return cls([[col[i] for col in columns] for i in range(n)])
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):

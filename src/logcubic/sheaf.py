@@ -14,7 +14,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .cubics import _syzygy_columns, _syzygy_matrix, is_smooth_cubic
+from .cubics import (
+    _QUARTICS,
+    _quartic_rank,
+    _syzygy_columns,
+    _syzygy_matrix,
+    is_smooth_cubic,
+)
 from .errors import DegreeMismatchError, SingularCurveError, ZeroInputError
 from .forms import (
     DUAL,
@@ -49,7 +55,16 @@ class ChernData(NamedTuple):
     k: int
 
 
+def _require_int(name: str, value: object) -> None:
+    """Refuse a degree or twist that is not an int, bool included, where
+    arithmetic would carry 1.5 or True through to a wrong answer."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DegreeMismatchError(f"{name} must be an integer, got {value!r}")
+
+
 def chern_data(d: int, k: int) -> ChernData:
+    _require_int("curve degree", d)
+    _require_int("twist k", k)
     if d < 1:
         raise DegreeMismatchError(f"curve degree must be >= 1, got {d}")
     return ChernData(
@@ -150,13 +165,13 @@ def canonical_normal(vector: Sequence[Fraction]) -> HyperplaneNormal:
     """Scale a hyperplane normal so its z0*z1*z2 entry is 1; when that entry
     vanishes, scale the first nonzero entry (graded-lex order) to 1.  Every
     zero entry of the result is the shared Fraction ``forms.ZERO``."""
-    v = tuple(Fraction(x) for x in vector)
+    v = tuple([Fraction(x) for x in vector])
     pivot = v[PRODUCT_INDEX]
     if pivot == 0:
         pivot = next((x for x in v if x != 0), None)
         if pivot is None:
             raise ZeroInputError("hyperplane normal must be nonzero")
-    return tuple(x / pivot if x else ZERO for x in v)
+    return tuple([x / pivot if x else ZERO for x in v])
 
 
 def jacobi_degree3(f: TernaryForm) -> HyperplaneNormal:
@@ -215,12 +230,25 @@ def is_jumping_cubic(f: TernaryForm, g: TernaryForm) -> bool:
 
 def d0_graded_dim(f: TernaryForm, k: int) -> int:
     """Dimension of the space of degree-k polynomial derivations
-    annihilating f: the kernel of (g_i) -> sum g_i d_i(f) on triples of
-    degree (k+1) forms."""
+    annihilating f: the kernel of M_k, the map (g_i) -> sum g_i d_i(f) on
+    triples of degree (k+1) forms (:func:`_syzygy_matrix`).
+
+    For k >= 2 the rank of M_1, from triples of conics onto the 15
+    quartics, is taken first.  If it is 15, as on every smooth cubic, then
+    M_k is onto the forms of degree k + 3 and is not built.  Proof:
+    multiplying triples of conics by forms of degree k - 1 shows that
+    image(M_k) contains S_{k-1} * image(M_1) = S_{k-1} * S_4 = S_{k+3}.
+    So the kernel has dimension 3*C(k+3, 2) - C(k+5, 2) = k^2 + 3k - 1,
+    which is chi(E(k)) for the Chern numbers of ``chern_data(3, k)``.  In
+    every other case, k = 0 and k = 1 included, M_k is eliminated.
+    """
     if f.degree != 3:
         raise DegreeMismatchError(f"need a cubic, got degree {f.degree}")
+    _require_int("twist k", k)
     if k < 0:
         raise DegreeMismatchError(f"twist k must be >= 0, got {k}")
+    if k >= 2 and _quartic_rank(f) == _QUARTICS:
+        return k * k + 3 * k - 1
     matrix = _syzygy_matrix(f, k)
     return matrix.cols - matrix.rank()
 

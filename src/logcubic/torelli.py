@@ -218,7 +218,7 @@ def cayleyan_singularity_identity() -> tuple[tuple[Fraction, ...], tuple[Fractio
     lhs = (t**3 + 2 * u**3) ** 3 - 27 * t**3 * u**6
     rhs = (t**3 - u**3) ** 2 * (t**3 + 8 * u**3)
     return tuple(
-        tuple(side.coefficient((k, 9 - k, 0)) for k in range(10)) for side in (lhs, rhs)
+        [tuple([side.coefficient((k, 9 - k, 0)) for k in range(10)]) for side in (lhs, rhs)]
     )
 
 
@@ -239,7 +239,7 @@ def _counterexample(a: Scalar, b: Scalar, c: Scalar) -> tuple[bool, SheafInvaria
     f = TernaryForm(3, {(3, 0, 0): a, (0, 3, 0): b, (0, 0, 3): c})
     invariants = SheafInvariants(cayleyan=cayleyan_cubic(f), hyperplane=jacobi_degree3(f))
     expected = tuple(
-        Fraction(1 if mono == (1, 1, 1) else 0) for mono in monomial_basis(3)
+        [Fraction(1 if mono == (1, 1, 1) else 0) for mono in monomial_basis(3)]
     )
     shared = projectively_equal(
         invariants.cayleyan, monomial_form((1, 1, 1), 1, DUAL)

@@ -1,4 +1,7 @@
 import gc
+import platform
+import random
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 
 from logcubic.cubics import hesse_cubic, hessian_curve
 from logcubic.errors import MatrixShapeError, ResultantInputError
-from logcubic.forms import constant_form, parse_form, zero_form
+from logcubic.forms import coefficient_vector, constant_form, parse_form, zero_form
 from logcubic.linalg import ExactMatrix, det_form_matrix, sylvester_resultant
 from logcubic.sheaf import cayleyan_cubic
 
@@ -163,11 +166,35 @@ class TestExactMatrix:
                 # columns, which pins the basis uniquely.
                 assert [v[c] for c in free] == [int(c == own) for c in free]
 
-    def test_from_columns_transpose(self, rng):
+    def test_from_columns_reads_columns(self, rng):
         cols = [[rand_fraction(rng) for _ in range(4)] for _ in range(3)]
         m = ExactMatrix.from_columns(cols)
         assert m.rows == 4 and m.cols == 3
-        assert m.transpose().entries == tuple(tuple(c) for c in cols)
+        assert [[row[j] for row in m.entries] for j in range(3)] == cols
+
+
+@pytest.mark.skipif(platform.python_implementation() != "CPython",
+                    reason="per-size tuple free lists are a CPython detail")
+def test_hot_constructors_leave_no_tuple_free_lists():
+    """Tuples built from generators skip CPython's per-size free list when
+    made but join it when freed, so 3000 of them would leave about 2000
+    freed tuples of each size allocated.  A full collection empties the
+    lists first; the collector stays off while the tuples are made."""
+    quartic = parse_form("z0^4 - 2/3*z0*z1^2*z2 + 5*z2^4")
+    row = [rand_fraction(random.Random(7)) for _ in range(18)]
+    coefficient_vector(quartic)
+    ExactMatrix([row])
+    gc.collect()
+    gc.disable()
+    try:
+        before = sys.getallocatedblocks()
+        for _ in range(3000):
+            coefficient_vector(quartic)
+            ExactMatrix([row])
+        grown = sys.getallocatedblocks() - before
+    finally:
+        gc.enable()
+    assert grown < 300
 
 
 # -- elimination against sympy ------------------------------------------------

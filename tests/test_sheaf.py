@@ -30,6 +30,7 @@ from logcubic.sheaf import (
     PRODUCT_INDEX,
     _is_jacobi_normal,
     _syzygy_columns,
+    _syzygy_matrix,
     canonical_normal,
     cayleyan_cubic,
     chern_data,
@@ -416,6 +417,79 @@ class TestStability:
             matrix = _syzygy_matrix(hesse_cubic(t), 1)
             assert (matrix.rows, matrix.cols) == (15, 18)
             assert d0_graded_dim(hesse_cubic(t), 1) == 18 - naive_rank(matrix.entries)
+
+
+class TestClosedFormDims:
+    """d0_graded_dim against cols - rank of the multiplication matrix M_k
+    itself, for smooth, singular, non-reduced and zero cubics: the closed
+    form k^2 + 3k - 1 must agree wherever it is taken."""
+
+    KS = range(0, 7)
+
+    def cubics(self):
+        rng = random.Random(74)
+        forms = [TernaryForm(3, {m: rng.randint(-9, 9) for m in monomial_basis(3)})
+                 for _ in range(2)]
+        forms += [TernaryForm(3, {m: rand_nonzero_fraction(rng) for m in monomial_basis(3)})
+                  for _ in range(2)]
+        forms += [hesse_cubic(t) for t in (0, 2, -2, rand_hesse_t(rng))]
+        for text in (NODAL, CUSPIDAL, "z0*z1*z2"):
+            singular = parse_form(text)
+            forms += [singular, substitute_linear(singular, random_unimodular(rng))]
+        forms += [parse_form("z0^2*z1"), parse_form("z0^3"), TernaryForm(3, {})]
+        return forms
+
+    def test_matches_elimination(self):
+        for f in self.cubics():
+            expected = []
+            for k in self.KS:
+                matrix = _syzygy_matrix(f, k)
+                expected.append(matrix.cols - matrix.rank())
+            assert [d0_graded_dim(f, k) for k in self.KS] == expected, str(f)
+
+    def test_smooth_cubic_builds_only_m1(self, monkeypatch):
+        import logcubic.cubics
+        import logcubic.sheaf
+
+        built = []
+        original = logcubic.cubics._syzygy_matrix
+
+        def counting(f, k):
+            built.append(k)
+            return original(f, k)
+
+        monkeypatch.setattr(logcubic.cubics, "_syzygy_matrix", counting)
+        monkeypatch.setattr(logcubic.sheaf, "_syzygy_matrix", counting)
+        f = self.cubics()[0]
+        assert d0_graded_dim(f, 4) == 27
+        assert built == [1]
+
+
+class TestIntegerTwists:
+    """Degrees and twists must be ints; 1.5, 2.0 and True are refused, as
+    form_from_record refuses them as degrees."""
+
+    def test_chern_data_refuses_fractional_twist(self):
+        with pytest.raises(DegreeMismatchError):
+            chern_data(3, 1.5)
+
+    def test_chern_data_refuses_float_degree(self):
+        with pytest.raises(DegreeMismatchError):
+            chern_data(3.0, 1)
+
+    def test_chern_data_refuses_bool(self):
+        with pytest.raises(DegreeMismatchError):
+            chern_data(3, True)
+        with pytest.raises(DegreeMismatchError):
+            chern_data(True, 0)
+
+    def test_graded_dim_refuses_bool_twist(self):
+        with pytest.raises(DegreeMismatchError):
+            d0_graded_dim(hesse_cubic(2), True)
+
+    def test_graded_dim_refuses_float_twist(self):
+        with pytest.raises(DegreeMismatchError):
+            d0_graded_dim(hesse_cubic(2), 2.0)
 
 
 class TestChernData:
