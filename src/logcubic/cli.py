@@ -37,6 +37,7 @@ from .sheaf import (
     _cayleyan_cubic,
     _jacobi_degree3,
     _jumping_rank,
+    _require_smooth,
     _splitting_of_rank,
     cayleyan_cubic,
     chern_data,
@@ -145,7 +146,7 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     t = hesse_parameter(f)
     if t is not None:
         outputs["hesse_t"] = str(t)
-        if t**3 != 1:
+        if verdict.is_smooth:
             outputs["j_invariant"] = str(j_invariant_hesse(t))
             outputs["cayleyan_s"] = str(cayleyan_hesse_param(t)) if t != 0 else None
     if verdict.is_smooth:
@@ -235,6 +236,8 @@ def cmd_counterexample(args) -> tuple[dict, dict]:
 def cmd_involution(args) -> tuple[dict, dict]:
     f, inputs = _input_cubic(args)
     inputs.update({"samples": args.samples, "tol": args.tol, "seed": args.seed})
+    if f.degree == 3:  # one verdict before sampling; check_involution refuses other degrees
+        _require_smooth(f)
     report = check_involution(f, args.samples, args.tol, args.seed)
     if not report.passed:
         raise InvolutionCheckError(

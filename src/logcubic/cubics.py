@@ -2,9 +2,9 @@
 Gram matrices of conics, smoothness testing, and the j-invariant along the
 Hesse pencil.
 
-Everything here is exact, the smoothness verdict included: Hesse-pencil
-members are decided by t^3 != 1, every other cubic by the rank of the
-multiplication map from triples of conics onto quartics.
+Everything here is exact, the smoothness verdict included: every cubic,
+Hesse-pencil members too, is decided by the rank of the multiplication map
+from triples of conics onto quartics.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ _PRODUCT_MONO = (1, 1, 1)
 
 class SmoothnessVerdict(NamedTuple):
     """Outcome of the smoothness test: Smooth or Singular, with a witness
-    saying which exact criterion decided it."""
+    saying how many of the quartics the partials generate."""
 
     status: str
     witness: str | None = None
@@ -141,27 +141,15 @@ def _quartic_rank(f: TernaryForm) -> int:
 def is_smooth_cubic(f: TernaryForm) -> SmoothnessVerdict:
     """Decide smoothness of a plane cubic exactly.
 
-    Hesse-pencil members are decided by their parameter (smooth iff
-    t^3 != 1, and the pure-product member is singular).  Any other cubic is
-    smooth exactly when its partials form a regular sequence, that is
-    (Macaulay) when they generate every quartic: the multiplication map
-    from triples of conics onto the 15 quartics has full rank.  A common
+    A cubic is smooth exactly when its partials form a regular sequence,
+    that is (Macaulay) when they generate every quartic: the multiplication
+    map from triples of conics onto the 15 quartics has full rank.  A common
     zero of the partials, i.e. a singular point, keeps that rank below 15.
     """
     if f.is_zero():
         raise ZeroInputError("smoothness test needs a nonzero cubic")
     if f.degree != 3:
         raise DegreeMismatchError(f"smoothness test needs a cubic, got degree {f.degree}")
-
-    split = hesse_pencil_split(f)
-    if split is not None:
-        lam, mu = split
-        if lam == 0:
-            return SmoothnessVerdict(SINGULAR, "pencil member z0*z1*z2 = 0")
-        t = -mu / (3 * lam)
-        if t**3 == 1:
-            return SmoothnessVerdict(SINGULAR, f"Hesse parameter t = {t} has t^3 = 1")
-        return SmoothnessVerdict(SMOOTH, f"Hesse parameter t = {t} has t^3 != 1")
 
     rank = _quartic_rank(f)
     if rank == _QUARTICS:

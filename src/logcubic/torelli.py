@@ -43,7 +43,9 @@ from .forms import (
 )
 from .sheaf import (
     HyperplaneNormal,
+    _cayleyan_cubic,
     _is_jacobi_normal,
+    _jacobi_degree3,
     cayleyan_cubic,
     jacobi_degree3,
 )
@@ -80,12 +82,13 @@ def cayleyan_hesse_param(t: Scalar) -> Fraction:
 
 
 def forward_invariants(t: Scalar) -> SheafInvariants:
-    """Both sheaf invariants of the smooth pencil member at t."""
+    """Both sheaf invariants of the smooth pencil member at t.  Refusing
+    t^3 = 1 here decides smoothness, so the ungated bodies build them."""
     t = Fraction(t)
     if t**3 == 1:
         raise SingularCurveError(f"pencil member at t = {t} is singular")
     f = hesse_cubic(t)
-    return SheafInvariants(cayleyan=cayleyan_cubic(f), hyperplane=jacobi_degree3(f))
+    return SheafInvariants(cayleyan=_cayleyan_cubic(f), hyperplane=_jacobi_degree3(f))
 
 
 def reconstruct_candidates(s: Scalar) -> CandidateSet:

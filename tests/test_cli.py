@@ -235,6 +235,32 @@ class TestOtherCommands:
         out = report["outputs"]
         assert out["pass"] is True
         assert out["samples"] >= 20
+        code, report, _ = run_json(capsys, "involution", "--hesse-t", "2")
+        assert code == 0 and report["outputs"]["pass"] is True
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            ["--hesse-t", "1"],
+            ["--form", "z0^3 + z1^3 + z2^3 - 3*z0*z1*z2"],
+            ["--form", "z1^2*z2 - z0^3 - z0^2*z2"],
+            ["--form", "z0*z1*z2"],
+        ],
+        ids=["hesse-t-1", "triangle", "nodal", "product"],
+    )
+    def test_involution_singular_refused(self, capsys, monkeypatch, curve):
+        # The triangle at t = 1 used to pass the numeric check; the verdict
+        # now refuses every singular cubic before any sampling.
+        import logcubic.cli
+
+        def no_sampling(*args):
+            raise AssertionError("sampled a singular cubic")
+
+        monkeypatch.setattr(logcubic.cli, "check_involution", no_sampling)
+        code, report, _ = run_json(capsys, "involution", *curve)
+        assert code == 1
+        assert report["error"]["category"] == "singular-curve"
+        assert "partials generate only" in report["error"]["message"]
 
     def test_involution_failed_check_exits_1(self, capsys):
         # max_err is about 6e-16 here, so no sample meets a 1e-300 tolerance.

@@ -15,7 +15,13 @@ from logcubic.cubics import (
 from logcubic.errors import SingularCurveError, ZeroInputError
 from logcubic.forms import parse_form, substitute_linear
 
-from conftest import evaluate, rand_fraction, rand_hesse_t, random_unimodular
+from conftest import (
+    evaluate,
+    rand_fraction,
+    rand_hesse_t,
+    rand_nonzero_fraction,
+    random_unimodular,
+)
 
 PENCIL_MONOS = {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
 
@@ -71,10 +77,28 @@ class TestHessianCurve:
 
 
 class TestSmoothness:
-    def test_hesse_members_exact(self):
-        assert is_smooth_cubic(hesse_cubic(2)).status == SMOOTH
-        assert is_smooth_cubic(hesse_cubic(1)).status == SINGULAR
-        assert is_smooth_cubic(parse_form("z0*z1*z2")).status == SINGULAR
+    def test_hesse_members_exact(self, rng):
+        # Independent oracle: a pencil member is smooth exactly when
+        # t^3 != 1 (Artebani-Dolgachev), which the rank test does not read.
+        # Every singular member is a triangle of lines, three nodes, so its
+        # partials fall three short of the quartics.
+        ts = [Fraction(t) for t in (2, 1, 0, -1, -2)]
+        for digits in range(1, 5):
+            height = 10**digits - 1
+            ts += [Fraction(rng.randint(-height, height), rng.randint(1, height))
+                   for _ in range(3)]
+        triangles = [parse_form("z0*z1*z2"), parse_form("-7/3*z0*z1*z2")]
+        for t in ts:
+            c = rand_nonzero_fraction(rng, lo=-99, hi=99, max_den=99)
+            for f in (hesse_cubic(t), hesse_cubic(t).scale(c)):
+                if t**3 == 1:
+                    triangles.append(f)
+                else:
+                    verdict = is_smooth_cubic(f)
+                    assert verdict == (SMOOTH, "partials generate all 15 quartics"), (t, c)
+        assert len(triangles) >= 4
+        for f in triangles:
+            assert is_smooth_cubic(f) == (SINGULAR, "partials generate only 12 of 15 quartics")
 
     def test_nodal_cubic(self):
         # z1^2*z2 - z0^2*(z0+z2) has all three partials vanishing at [0:0:1].
@@ -97,8 +121,8 @@ class TestSmoothness:
 
     def test_verdict_invariant_under_unimodular_maps(self, rng):
         # Metamorphic oracle: a GL3(Z) change of coordinates preserves
-        # smoothness.  The moved Hesse members leave the pencil, so their
-        # verdict comes from the rank criterion rather than t^3 != 1.
+        # smoothness.  The moved Hesse members leave the pencil, so the rank
+        # criterion meets them as dense cubics and must still say smooth.
         smooth_cubics = [hesse_cubic(rand_hesse_t(rng)) for _ in range(4)]
         for _ in range(20):
             matrix = random_unimodular(rng)

@@ -2,7 +2,10 @@
 
 ``golden_cli.json`` holds, for each argv, the exit code and the ``outputs``
 or ``error`` object of its ``--json`` report (for ``sweep --csv``, the whole
-stdout), recorded at commit e6f64fd.  ``inputs`` is left out because the
+stdout), recorded at commit e6f64fd.  Entries 00-04 (the ``witness`` of
+``analyze --hesse-t``) and 12 (the message of ``cayleyan --hesse-t 1``) were
+re-recorded when Hesse-pencil members came to be decided by the rank of
+their partials on the quartics.  ``inputs`` is left out because the
 file mode of ``reconstruct`` puts temporary paths there, and ``involution``
 is left out because its floats depend on the LAPACK build.  A change that
 alters any of these outputs on purpose updates the file and lists the

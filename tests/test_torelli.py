@@ -86,6 +86,27 @@ class TestForwardInvariants:
         with pytest.raises(SingularCurveError):
             forward_invariants(1)
 
+    def test_round_trip_runs_no_rank_test(self, rng, monkeypatch):
+        # forward_invariants refuses t^3 = 1 itself and reconstruct checks
+        # candidates by pairing, so no smoothness verdict is needed.
+        import logcubic.cubics
+        import logcubic.sheaf
+
+        calls = []
+        for module in (logcubic.cubics, logcubic.sheaf):
+            for name in ("is_smooth_cubic", "_quartic_rank"):
+                original = getattr(module, name)
+                monkeypatch.setattr(
+                    module,
+                    name,
+                    lambda f, name=name, original=original: calls.append(name) or original(f),
+                )
+        for t in [Fraction(2), Fraction(1, 2)] + [rand_torelli_t(rng) for _ in range(5)]:
+            assert reconstruct(forward_invariants(t)) == t
+        with pytest.raises(SingularCurveError):
+            forward_invariants(1)
+        assert calls == []
+
 
 class TestCandidates:
     def test_s_five_thirds(self):
