@@ -421,7 +421,10 @@ class _Tokenizer:
                 j = i
                 while j < n and "0" <= text[j] <= "9":
                     j += 1
-                self.tokens.append(("num", int(text[i:j])))
+                try:
+                    self.tokens.append(("num", int(text[i:j])))
+                except ValueError:  # more digits than int() converts
+                    raise ParseError(f"numeral of {j - i} digits is too long") from None
                 i = j
             elif ch.isalpha():
                 j = i

@@ -175,9 +175,8 @@ def det_form_matrix(rows: Sequence[Sequence[TernaryForm]]) -> TernaryForm:
 
     Expands column by column with memoization on the set of unused rows
     (2^n subproblems), which is comfortably fast for the sizes that occur
-    here: 3x3 Hessians, the 6x6 symbolic jumping matrix of the Cayleyan and
-    Sylvester matrices of up to 8x8.  A zero result is returned at declared
-    degree 0.
+    here: 3x3 Hessians and Sylvester matrices of up to 8x8.  A zero result
+    is returned at declared degree 0.
     """
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):

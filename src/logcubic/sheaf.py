@@ -4,9 +4,10 @@ linear algebra on coefficient vectors.
 A line, given by a nonzero linear form alpha, jumps exactly when the six
 conics z0*alpha, z1*alpha, z2*alpha, d0(f), d1(f), d2(f) are linearly
 dependent; letting alpha vary symbolically turns that 6x6 determinant into
-a cubic in the dual plane, the Cayleyan curve.  The degree-3 part of the
-Jacobi ideal of f is a hyperplane in the 10-dimensional space of cubics,
-and its normal vector is the second reconstruction invariant.
+a cubic in the dual plane, the Cayleyan curve, whose coefficients are
+signed 3x3 minors of the 6x3 matrix of the partials.  The degree-3 part of
+the Jacobi ideal of f is a hyperplane in the 10-dimensional space of
+cubics, and its normal vector is the second reconstruction invariant.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from .forms import (
     ZERO,
     TernaryForm,
     coefficient_vector,
-    constant_form,
+    form_from_coefficients,
     monomial_basis,
-    partial_derivative,
     variable,
 )
-from .linalg import ExactMatrix, det_form_matrix
+# Unused here; the benchmark's selftest reads det_form_matrix through this module.
+from .linalg import ExactMatrix, det_form_matrix  # noqa: F401
 
 # Index of the monomial z0*z1*z2 within the degree-3 graded-lex basis; the
 # canonical hyperplane normal is scaled to 1 there.
@@ -95,7 +96,7 @@ def jumping_matrix(f: TernaryForm, alpha: TernaryForm) -> ExactMatrix:
     z0*alpha, z1*alpha, z2*alpha, d0(f), d1(f), d2(f), in that order."""
     _check_cubic_and_alpha(f, alpha)
     columns = [coefficient_vector(variable(i, f.space) * alpha) for i in range(3)]
-    columns += [coefficient_vector(partial_derivative(f, i)) for i in range(3)]
+    columns += _syzygy_columns(f, -1)
     return ExactMatrix.from_columns(columns)
 
 
@@ -131,34 +132,40 @@ def cayleyan_cubic(f: TernaryForm) -> TernaryForm:
     """The jumping-line locus of f as an exact cubic in dual coordinates:
     the determinant of the symbolic jumping matrix, whose columns are
     z0*a, z1*a, z2*a, d0 f, d1 f, d2 f (as in :func:`jumping_matrix`) with
-    the line a = a0 z0 + a1 z1 + a2 z2 left symbolic.  Evaluating it at a
-    rational line gives that line's jumping-matrix determinant, sign
-    included.  Raises SingularCurveError on a singular cubic.
+    the line a = a0 z0 + a1 z1 + a2 z2 left symbolic, read off the 3x3
+    minors of the partials' columns.  Evaluating it at a rational line gives
+    that line's jumping-matrix determinant, sign included.  Raises
+    SingularCurveError on a singular cubic.
     """
     _require_smooth(f)
     return _cayleyan_cubic(f)
 
 
+# The symbolic jumping determinant det[A(a) | P], expanded once along its
+# columns z_i * a, where P is the 6x3 matrix of the partials' coefficients.
+# Row m gives the coefficient of the m-th dual cubic monomial (graded-lex,
+# a0^3 first); an entry (c, i, j, k) is c times the minor on P's rows i, j, k.
+_CAYLEYAN_MINORS = (
+    ((1, 3, 4, 5),),
+    ((-1, 1, 4, 5), (1, 2, 3, 5)), ((1, 1, 3, 5), (-1, 2, 3, 4)),
+    ((1, 0, 4, 5), (1, 1, 2, 5)), ((-2, 0, 3, 5), (-1, 1, 2, 4)), ((1, 0, 3, 4), (1, 1, 2, 3)),
+    ((-1, 0, 2, 5),), ((1, 0, 1, 5), (1, 0, 2, 4)),
+    ((-1, 0, 1, 4), (-1, 0, 2, 3)), ((1, 0, 1, 3),),
+)
+
+
+def _det3(r: Sequence[Fraction], s: Sequence[Fraction], t: Sequence[Fraction]) -> Fraction:
+    """Determinant of the 3x3 matrix with rows r, s, t, by cofactors."""
+    return (r[0] * (s[1] * t[2] - s[2] * t[1]) - r[1] * (s[0] * t[2] - s[2] * t[0])
+            + r[2] * (s[0] * t[1] - s[1] * t[0]))
+
+
 def _cayleyan_cubic(f: TernaryForm) -> TernaryForm:
     """The work of :func:`cayleyan_cubic` for a cubic already known to be
     smooth, without the smoothness gate."""
-    # Symbolic columns: entry (row m, col i) is the dual linear form giving
-    # the coefficient of basis monomial m in z_i * (a0 z0 + a1 z1 + a2 z2);
-    # the product z_i z_j contributes a_j to the row of that monomial.
-    basis2 = monomial_basis(2)
-    rows = [[TernaryForm(1, {}, DUAL) for _ in range(3)] for _ in range(6)]
-    for i in range(3):
-        for j in range(3):
-            mono = [0, 0, 0]
-            mono[i] += 1
-            mono[j] += 1
-            m = basis2.index(tuple(mono))
-            rows[m][i] = rows[m][i] + variable(j, DUAL)
-
-    partials = [coefficient_vector(partial_derivative(f, i)) for i in range(3)]
-    for r, row in enumerate(rows):
-        row.extend(constant_form(partials[i][r], DUAL) for i in range(3))
-    return det_form_matrix(rows)
+    p = list(zip(*_syzygy_columns(f, -1)))
+    coeffs = [sum(c * _det3(p[i], p[j], p[k]) for c, i, j, k in r) for r in _CAYLEYAN_MINORS]
+    return form_from_coefficients(coeffs, 3, DUAL)
 
 
 def canonical_normal(vector: Sequence[Fraction]) -> HyperplaneNormal:

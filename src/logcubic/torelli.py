@@ -46,8 +46,6 @@ from .sheaf import (
     _cayleyan_cubic,
     _is_jacobi_normal,
     _jacobi_degree3,
-    cayleyan_cubic,
-    jacobi_degree3,
 )
 
 
@@ -234,13 +232,14 @@ def counterexample_check(a: Scalar, b: Scalar, c: Scalar) -> bool:
 
 def _counterexample(a: Scalar, b: Scalar, c: Scalar) -> tuple[bool, SheafInvariants]:
     """The verdict of counterexample_check and the invariants it compares,
-    each computed once.  A zero coefficient is refused as zero input before
-    the smoothness gates of the invariants could call the curve singular."""
+    each computed once.  A zero coefficient is refused as zero input; with
+    a, b, c all nonzero the cubic is smooth (its partials 3a*z0^2, 3b*z1^2,
+    3c*z2^2 share no zero), so the ungated bodies build the invariants."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
     if a == 0 or b == 0 or c == 0:
         raise ZeroInputError("family coefficients a, b, c must all be nonzero")
     f = TernaryForm(3, {(3, 0, 0): a, (0, 3, 0): b, (0, 0, 3): c})
-    invariants = SheafInvariants(cayleyan=cayleyan_cubic(f), hyperplane=jacobi_degree3(f))
+    invariants = SheafInvariants(cayleyan=_cayleyan_cubic(f), hyperplane=_jacobi_degree3(f))
     expected = tuple(
         [Fraction(1 if mono == (1, 1, 1) else 0) for mono in monomial_basis(3)]
     )

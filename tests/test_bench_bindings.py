@@ -27,6 +27,17 @@ def test_layer_functions_resolve(layertrace):
             assert callable(getattr(module, name, None)), f"logcubic.{layer}.{name}"
 
 
+def test_det_form_matrix_bound_where_the_tracer_reads_it():
+    """The benchmark's selftest reads det_form_matrix through sheaf and
+    cubics; both names must stay bound to the linalg function."""
+    import logcubic.cubics
+    import logcubic.linalg
+    import logcubic.sheaf
+
+    for module in (logcubic.sheaf, logcubic.cubics):
+        assert getattr(module, "det_form_matrix", None) is logcubic.linalg.det_form_matrix, module
+
+
 def test_matrix_methods_resolve(layertrace):
     from logcubic.linalg import ExactMatrix
 

@@ -198,18 +198,28 @@ class TestOtherCommands:
         assert report["outputs"]["invariants_independent_of_abc"] is True
 
     def test_counterexample_invariants_computed_once(self, capsys, monkeypatch):
+        # Nonzero a, b, c make the cubic smooth, so the ungated bodies build
+        # the invariants once each and no smoothness test runs.
+        import logcubic.cubics
         import logcubic.torelli
 
         calls = []
-        for name in ("cayleyan_cubic", "jacobi_degree3"):
+        for name in ("_cayleyan_cubic", "_jacobi_degree3"):
             original = getattr(logcubic.torelli, name)
             monkeypatch.setattr(
                 logcubic.torelli, name,
                 lambda f, name=name, original=original: calls.append(name) or original(f),
             )
+        smooth_test = logcubic.cubics.is_smooth_cubic
+        for module in [m for n, m in sys.modules.items() if n.startswith("logcubic")]:
+            for attr, value in list(vars(module).items()):
+                if value is smooth_test:
+                    monkeypatch.setattr(
+                        module, attr, lambda f: calls.append("is_smooth_cubic") or smooth_test(f)
+                    )
         code, report, _ = run_json(capsys, "counterexample", "--abc", "2,3,-5")
         assert code == 0
-        assert sorted(calls) == ["cayleyan_cubic", "jacobi_degree3"]
+        assert sorted(calls) == ["_cayleyan_cubic", "_jacobi_degree3"]
         assert report["outputs"]["cayleyan"]["coeffs"][4] == "1620"
 
     def test_counterexample_zero_input_before_singular(self, capsys):
@@ -438,6 +448,12 @@ class TestDeterminismAndErrors:
         code, out, _ = run_cli(capsys, "analyze", "--form", "z0^² + z1^3 + z2^3", "--json")
         assert code == 1
         assert strict_json(out)["error"]["category"] == "parse-error"
+
+    def test_overlong_numeral_is_parse_error(self, capsys):
+        form = "7" * 5000 + "*z0^3 + z1^3 + z2^3"
+        code, report, _ = run_json(capsys, "analyze", "--form", form)
+        assert code == 1
+        assert report["error"]["category"] == "parse-error"
 
 
 class TestStrictJson:

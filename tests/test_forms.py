@@ -113,7 +113,9 @@ class TestParse:
             parse_form("(z0+1)*(z0-1)")
 
     def test_malformed_rejected(self):
-        for bad in ("z0 +", "(z0", "z3", "z0^", "^2", "", "z0 z1", "2**3"):
+        # The last two hold numerals longer than the 4300 digits int() reads.
+        for bad in ("z0 +", "(z0", "z3", "z0^", "^2", "", "z0 z1", "2**3",
+                    "7" * 5000 + "*z0^3 + z1^3 + z2^3", "z0^3 + 1/" + "9" * 5000 + "*z1^3"):
             with pytest.raises(ParseError):
                 parse_form(bad)
 

@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from logcubic.cubics import hesse_cubic, is_smooth_cubic
 from logcubic.errors import (
@@ -27,7 +28,9 @@ from logcubic.forms import (
 )
 from logcubic.linalg import ExactMatrix
 from logcubic.sheaf import (
+    _CAYLEYAN_MINORS,
     PRODUCT_INDEX,
+    _det3,
     _is_jacobi_normal,
     _syzygy_columns,
     _syzygy_matrix,
@@ -197,6 +200,41 @@ class TestCayleyan:
                 coords = coefficient_vector(alpha)
                 det = jumping_matrix(f, alpha).determinant()
                 assert evaluate(cay, coords) == det
+
+    def test_minor_table_is_the_symbolic_determinant(self):
+        # With the 6x3 matrix P of the partials' coefficients left as 18
+        # symbols, sympy's expansion of det[A(a) | P] equals the polynomial
+        # the minor table gives, so the table holds for every cubic.  Column
+        # i of A(a) holds the coefficients of z_i * (a0 z0 + a1 z1 + a2 z2).
+        a = sympy.symbols("a0:3")
+        z = sympy.symbols("z0:3")
+        P = sympy.Matrix(6, 3, sympy.symbols("p0:18"))
+        line = sum(ai * zi for ai, zi in zip(a, z))
+        A = sympy.Matrix(
+            [
+                [sympy.Poly(zi * line, *z).coeff_monomial(mono) for zi in z]
+                for mono in monomial_basis(2)
+            ]
+        )
+        det = A.row_join(P).det(method="berkowitz")
+        rows = [tuple(P.row(r)) for r in range(6)]
+        table = sum(
+            sympy.Mul(*[ai**e for ai, e in zip(a, mono)])
+            * sum(c * _det3(rows[i], rows[j], rows[k]) for c, i, j, k in entry)
+            for mono, entry in zip(monomial_basis(3), _CAYLEYAN_MINORS)
+        )
+        assert sympy.expand(det - table) == 0
+
+    def test_no_symbolic_determinant(self, monkeypatch):
+        import logcubic.linalg
+        import logcubic.sheaf
+
+        def refuse(rows):
+            raise AssertionError("det_form_matrix called")
+
+        monkeypatch.setattr(logcubic.linalg, "det_form_matrix", refuse)
+        monkeypatch.setattr(logcubic.sheaf, "det_form_matrix", refuse)
+        assert projectively_equal(cayleyan_cubic(hesse_cubic(2)), cayleyan_closed_form(Fraction(2)))
 
     def test_vanishing_iff_rank_drop(self, rng):
         for _ in range(5):
