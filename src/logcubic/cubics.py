@@ -5,12 +5,16 @@ Hesse pencil.
 Everything here is exact, the smoothness verdict included: every cubic,
 Hesse-pencil members too, is decided by the rank of the multiplication map
 from triples of conics onto quartics.
+
+Every multiplication matrix of the library is the vectors z^m * g of one
+builder, :func:`_multiples`, taken as rows: M_k is z^m * d_i(f) for the
+monomials z^m of degree k + 1 (:func:`_syzygy_rows`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import DegreeMismatchError, SingularCurveError, ZeroInputError
 from .forms import (
@@ -106,27 +110,25 @@ def gram_matrix(conic: TernaryForm) -> ExactMatrix:
     return ExactMatrix(g)
 
 
-def _syzygy_columns(f: TernaryForm, k: int) -> list[tuple[Fraction, ...]]:
-    """Coefficient vectors of the degree (k+3) forms z^m * d_i(f), for every
-    degree (k+1) monomial z^m, with the partial index i outer and the
-    graded-lex monomial inner: the columns of :func:`_syzygy_matrix`."""
-    partials = [partial_derivative(f, i) for i in range(3)]
-    columns = []
-    for i in range(3):
-        for mono in monomial_basis(k + 1):
-            g = TernaryForm(k + 1, {mono: 1}, f.space)
-            columns.append(coefficient_vector(g * partials[i]))
-    return columns
+def _multiples(forms: Sequence[TernaryForm], d: int) -> list[tuple[Fraction, ...]]:
+    """Coefficient vectors of z^m * g for each g in forms and each degree d
+    monomial z^m, g outer and z^m graded-lex inner; every zero entry is the
+    shared Fraction ``forms.ZERO``."""
+    vectors = []
+    for g in forms:
+        for mono in monomial_basis(d):
+            vectors.append(coefficient_vector(TernaryForm(d, {mono: 1}, g.space) * g))
+    return vectors
 
 
-def _syzygy_matrix(f: TernaryForm, k: int) -> ExactMatrix:
-    """Matrix of (g0, g1, g2) -> sum g_i * d_i(f) from triples of degree
-    (k+1) forms to degree (k+3) forms, columns ordered with the partial
-    index outer and the graded-lex monomial of g inner."""
-    return ExactMatrix.from_columns(_syzygy_columns(f, k))
+def _syzygy_rows(f: TernaryForm, k: int) -> list[tuple[Fraction, ...]]:
+    """M_k, the map (g0, g1, g2) -> sum g_i * d_i(f) from triples of degree
+    (k+1) forms to degree (k+3) forms, as its rows z^m * d_i(f); its kernel
+    has dimension len(rows) - rank."""
+    return _multiples([partial_derivative(f, i) for i in range(3)], k + 1)
 
 
-# The quartics, the target of :func:`_syzygy_matrix` at k = 1.
+# The quartics, the target of M_1 (:func:`_syzygy_rows` at k = 1).
 _QUARTICS = len(monomial_basis(4))
 
 
@@ -135,7 +137,7 @@ def _quartic_rank(f: TernaryForm) -> int:
     give: the rank of the map from triples of conics to quartics.  The
     partials give all of them exactly when f is smooth; the zero form
     gives none."""
-    return _syzygy_matrix(f, 1).rank()
+    return ExactMatrix(_syzygy_rows(f, 1)).rank()
 
 
 def is_smooth_cubic(f: TernaryForm) -> SmoothnessVerdict:

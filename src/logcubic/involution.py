@@ -61,6 +61,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .cubics import gram_matrix, hessian_curve
 from .errors import (
+    DegreeMismatchError,
     InsufficientSamplesError,
     NumericRankError,
     SingularCurveError,
@@ -321,7 +322,7 @@ def involution_s(f: TernaryForm, q: np.ndarray) -> np.ndarray:
     import numpy as np
 
     if f.degree != 3:
-        raise ZeroInputError("involution needs a cubic form")
+        raise DegreeMismatchError(f"involution needs a cubic, got degree {f.degree}")
     q = np.asarray(q, dtype=complex)
     qs = q.reshape(-1, 3)
     grams = _gram_stack(f)

@@ -45,15 +45,6 @@ class ExactMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("ExactMatrix is immutable")
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[Scalar]]) -> "ExactMatrix":
-        if not columns:
-            raise MatrixShapeError("matrix needs at least one column")
-        n = len(columns[0])
-        if any(len(col) != n for col in columns):
-            raise MatrixShapeError("columns must have equal length")
-        return cls([[col[i] for col in columns] for i in range(n)])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented

@@ -8,6 +8,9 @@ a cubic in the dual plane, the Cayleyan curve, whose coefficients are
 signed 3x3 minors of the 6x3 matrix of the partials.  The degree-3 part of
 the Jacobi ideal of f is a hyperplane in the 10-dimensional space of
 cubics, and its normal vector is the second reconstruction invariant.
+
+Every matrix here is eliminated as built, its rows the vectors z^m * g of
+``cubics._multiples``: M_k (rows z^m * d_i(f)), and the jumping matrix.
 """
 
 from __future__ import annotations
@@ -15,14 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .cubics import (
-    _QUARTICS,
-    _quartic_rank,
-    _syzygy_columns,
-    _syzygy_matrix,
-    is_smooth_cubic,
-)
-from .errors import DegreeMismatchError, SingularCurveError, ZeroInputError
+from .cubics import _QUARTICS, _multiples, _quartic_rank, _syzygy_rows, is_smooth_cubic
+from .errors import DegreeMismatchError, SingularCurveError, SpaceMismatchError, ZeroInputError
 from .forms import (
     DUAL,
     ZERO,
@@ -30,7 +27,6 @@ from .forms import (
     coefficient_vector,
     form_from_coefficients,
     monomial_basis,
-    variable,
 )
 # Unused here; the benchmark's selftest reads det_form_matrix through this module.
 from .linalg import ExactMatrix, det_form_matrix  # noqa: F401
@@ -83,6 +79,8 @@ def _check_cubic_and_alpha(f: TernaryForm, alpha: TernaryForm) -> None:
         raise ZeroInputError("the line form alpha must be nonzero")
     if alpha.degree != 1:
         raise DegreeMismatchError(f"alpha must be linear, got degree {alpha.degree}")
+    if alpha.space != f.space:
+        raise SpaceMismatchError(f"alpha is a {alpha.space} form, the cubic a {f.space} one")
 
 
 def _require_smooth(f: TernaryForm) -> None:
@@ -92,12 +90,10 @@ def _require_smooth(f: TernaryForm) -> None:
 
 
 def jumping_matrix(f: TernaryForm, alpha: TernaryForm) -> ExactMatrix:
-    """The 6x6 matrix whose columns are the degree-2 coefficient vectors of
+    """The 6x6 matrix whose rows are the degree-2 coefficient vectors of
     z0*alpha, z1*alpha, z2*alpha, d0(f), d1(f), d2(f), in that order."""
     _check_cubic_and_alpha(f, alpha)
-    columns = [coefficient_vector(variable(i, f.space) * alpha) for i in range(3)]
-    columns += _syzygy_columns(f, -1)
-    return ExactMatrix.from_columns(columns)
+    return ExactMatrix(_multiples([alpha], 1) + _syzygy_rows(f, -1))
 
 
 def _jumping_rank(f: TernaryForm, alpha: TernaryForm) -> int:
@@ -130,19 +126,20 @@ def splitting_type(f: TernaryForm, alpha: TernaryForm) -> tuple[int, int]:
 
 def cayleyan_cubic(f: TernaryForm) -> TernaryForm:
     """The jumping-line locus of f as an exact cubic in dual coordinates:
-    the determinant of the symbolic jumping matrix, whose columns are
+    the determinant of the symbolic jumping matrix, whose rows are
     z0*a, z1*a, z2*a, d0 f, d1 f, d2 f (as in :func:`jumping_matrix`) with
     the line a = a0 z0 + a1 z1 + a2 z2 left symbolic, read off the 3x3
-    minors of the partials' columns.  Evaluating it at a rational line gives
-    that line's jumping-matrix determinant, sign included.  Raises
+    minors of the partials' coefficients.  Evaluating it at a rational line
+    gives that line's jumping-matrix determinant, sign included.  Raises
     SingularCurveError on a singular cubic.
     """
     _require_smooth(f)
     return _cayleyan_cubic(f)
 
 
-# The symbolic jumping determinant det[A(a) | P], expanded once along its
-# columns z_i * a, where P is the 6x3 matrix of the partials' coefficients.
+# The symbolic jumping determinant det[A(a) | P], the transpose of the
+# jumping matrix, expanded once along its columns z_i * a; P is the 6x3
+# matrix whose column i holds the coefficients of d_i(f).
 # Row m gives the coefficient of the m-th dual cubic monomial (graded-lex,
 # a0^3 first); an entry (c, i, j, k) is c times the minor on P's rows i, j, k.
 _CAYLEYAN_MINORS = (
@@ -163,7 +160,7 @@ def _det3(r: Sequence[Fraction], s: Sequence[Fraction], t: Sequence[Fraction]) -
 def _cayleyan_cubic(f: TernaryForm) -> TernaryForm:
     """The work of :func:`cayleyan_cubic` for a cubic already known to be
     smooth, without the smoothness gate."""
-    p = list(zip(*_syzygy_columns(f, -1)))
+    p = list(zip(*_syzygy_rows(f, -1)))
     coeffs = [sum(c * _det3(p[i], p[j], p[k]) for c, i, j, k in r) for r in _CAYLEYAN_MINORS]
     return form_from_coefficients(coeffs, 3, DUAL)
 
@@ -198,7 +195,7 @@ def jacobi_degree3(f: TernaryForm) -> HyperplaneNormal:
 def _jacobi_degree3(f: TernaryForm) -> HyperplaneNormal:
     """The work of :func:`jacobi_degree3` for a cubic already known to be
     smooth, without the smoothness gate."""
-    kernel = ExactMatrix(_syzygy_columns(f, 0)).kernel_basis()
+    kernel = ExactMatrix(_syzygy_rows(f, 0)).kernel_basis()
     return canonical_normal(kernel[0])
 
 
@@ -213,12 +210,10 @@ def _is_jacobi_normal(f: TernaryForm, normal: Sequence[Fraction]) -> bool:
     normal is a nonzero multiple of :func:`jacobi_degree3` of f.  No kernel
     is solved and smoothness is not checked; the caller vouches for it.
     """
-    columns = _syzygy_columns(f, 0)
-    if len(normal) != len(columns[0]) or not any(normal):
+    rows = _syzygy_rows(f, 0)
+    if len(normal) != len(rows[0]) or not any(normal):
         return False
-    return all(
-        sum(n * c for n, c in zip(normal, column) if c) == 0 for column in columns
-    )
+    return all(sum(n * c for n, c in zip(normal, row) if c) == 0 for row in rows)
 
 
 def is_jumping_cubic(f: TernaryForm, g: TernaryForm) -> bool:
@@ -238,7 +233,9 @@ def is_jumping_cubic(f: TernaryForm, g: TernaryForm) -> bool:
 def d0_graded_dim(f: TernaryForm, k: int) -> int:
     """Dimension of the space of degree-k polynomial derivations
     annihilating f: the kernel of M_k, the map (g_i) -> sum g_i d_i(f) on
-    triples of degree (k+1) forms (:func:`_syzygy_matrix`).
+    triples of degree (k+1) forms, whose rows z^m * d_i(f) come from
+    :func:`_syzygy_rows`; its dimension is the number of rows minus the
+    rank.
 
     For k >= 2 the rank of M_1, from triples of conics onto the 15
     quartics, is taken first.  If it is 15, as on every smooth cubic, then
@@ -256,8 +253,8 @@ def d0_graded_dim(f: TernaryForm, k: int) -> int:
         raise DegreeMismatchError(f"twist k must be >= 0, got {k}")
     if k >= 2 and _quartic_rank(f) == _QUARTICS:
         return k * k + 3 * k - 1
-    matrix = _syzygy_matrix(f, k)
-    return matrix.cols - matrix.rank()
+    rows = _syzygy_rows(f, k)
+    return len(rows) - ExactMatrix(rows).rank()
 
 
 def is_stable(f: TernaryForm) -> bool:

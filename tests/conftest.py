@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -58,6 +59,47 @@ def evaluate(form: TernaryForm, point) -> object:
     x0, x1, x2 = point
     return sum((c * x0**e0 * x1**e1 * x2**e2 for (e0, e1, e2), c in form.terms.items()),
                Fraction(0))
+
+
+def sympy_multiples(polys, d: int, degree: int) -> list[tuple[Fraction, ...]]:
+    """Independent oracle for the library's multiplication vectors: for each
+    sympy Poly g of total degree ``degree`` (zero allowed) and each monomial
+    z^m of degree d, the coefficients of z^m * g as sympy expands them,
+    g outer and z^m inner, both read in graded-lex order (exponent triples
+    of one degree sorted descending)."""
+    import sympy
+
+    def grlex(n):
+        return sorted((e for e in product(range(n + 1), repeat=3) if sum(e) == n), reverse=True)
+
+    z = sympy.symbols("z0:3")
+    vectors = []
+    for g in polys:
+        for m in grlex(d):
+            h = g * sympy.Poly(sympy.Mul(*[zi**e for zi, e in zip(z, m)]), *z, domain="QQ")
+            coeffs = [h.coeff_monomial(e) for e in grlex(d + degree)]
+            vectors.append(tuple([Fraction(int(c.p), int(c.q)) for c in coeffs]))
+    return vectors
+
+
+def sympy_poly(form: TernaryForm):
+    """The form as a sympy Poly over QQ in z0, z1, z2."""
+    import sympy
+
+    z = sympy.symbols("z0:3")
+    expr = sympy.Integer(0)
+    for mono, c in form.terms.items():
+        monomial = sympy.Mul(*[zi**e for zi, e in zip(z, mono)])
+        expr += sympy.Rational(c.numerator, c.denominator) * monomial
+    return sympy.Poly(expr, *z, domain="QQ")
+
+
+def sympy_syzygy_rows(f: TernaryForm, k: int) -> list[tuple[Fraction, ...]]:
+    """The rows z^m * d_i(f) of M_k, with the partials taken and the
+    products expanded by sympy (see :func:`sympy_multiples`)."""
+    poly = sympy_poly(f)
+    partials = [poly.diff(zi) for zi in poly.gens]
+    return sympy_multiples(partials, k + 1, f.degree - 1)
 
 
 def chordal_distance(p, q) -> float:

@@ -45,7 +45,7 @@ from logcubic.torelli import (
     reconstruct_candidates,
 )
 
-from conftest import evaluate
+from conftest import evaluate, sympy_syzygy_rows
 from test_linalg import naive_rank
 
 SEED = 1729
@@ -198,13 +198,11 @@ def test_criterion_08_stability_and_graded_dims():
             assert is_stable(f) is True
             assert d0_graded_dim(f, 0) == 0
             assert d0_graded_dim(f, 1) == 3
-        # Independent oracle: naive dense rank of the 15x18 matrix.
-        from logcubic.sheaf import _syzygy_matrix
-
-        f = hesse_cubic(rand_t(rng))
-        matrix = _syzygy_matrix(f, 1)
-        assert (matrix.rows, matrix.cols) == (15, 18)
-        assert 18 - naive_rank(matrix.entries) == 3
+        # Independent oracle: naive dense rank of the 18 vectors z^m * d_i f,
+        # each of length 15, with the products expanded by sympy.
+        rows = sympy_syzygy_rows(hesse_cubic(rand_t(rng)), 1)
+        assert (len(rows), len(rows[0])) == (18, 15)
+        assert 18 - naive_rank(rows) == 3
 
 
 def test_criterion_09_chern_data():

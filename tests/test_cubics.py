@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from logcubic.cubics import (
     SINGULAR,
     SMOOTH,
+    _syzygy_rows,
     hesse_cubic,
     hesse_parameter,
     hesse_pencil_split,
@@ -13,7 +15,7 @@ from logcubic.cubics import (
     j_invariant_hesse,
 )
 from logcubic.errors import SingularCurveError, ZeroInputError
-from logcubic.forms import parse_form, substitute_linear
+from logcubic.forms import ZERO, TernaryForm, monomial_basis, parse_form, substitute_linear
 
 from conftest import (
     evaluate,
@@ -21,6 +23,7 @@ from conftest import (
     rand_hesse_t,
     rand_nonzero_fraction,
     random_unimodular,
+    sympy_syzygy_rows,
 )
 
 PENCIL_MONOS = {(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1)}
@@ -137,6 +140,26 @@ class TestSmoothness:
     def test_zero_rejected(self):
         with pytest.raises(ZeroInputError):
             is_smooth_cubic(parse_form("0") * parse_form("0"))
+
+
+class TestMultiples:
+    def test_syzygy_rows_match_sympy(self):
+        # The builder of every multiplication matrix, vector for vector
+        # against sympy's expansion of z^m * d_i(f), for M_{-1} to M_3.
+        rng = random.Random(27)
+        cubics = [
+            TernaryForm(3, {m: rng.randint(-9, 9) for m in monomial_basis(3)}),
+            TernaryForm(3, {m: rand_nonzero_fraction(rng) for m in monomial_basis(3)}),
+            hesse_cubic(0),
+            hesse_cubic(2),
+            parse_form("z1^2*z2 - z0^3 - z0^2*z2"),
+            TernaryForm(3, {}),
+        ]
+        for f in cubics:
+            for k in range(-1, 4):
+                rows = _syzygy_rows(f, k)
+                assert rows == sympy_syzygy_rows(f, k), (str(f), k)
+                assert all(x is ZERO for row in rows for x in row if x == 0)
 
 
 class TestUnimodular:

@@ -8,6 +8,7 @@ import sympy
 
 from logcubic.cubics import gram_matrix, hesse_cubic, hessian_curve
 from logcubic.errors import (
+    DegreeMismatchError,
     InsufficientSamplesError,
     NumericRankError,
     SingularCurveError,
@@ -191,6 +192,10 @@ class TestInvolutionStep:
         q = np.array([0, 1, -1], dtype=complex)
         s = involution_s(hesse_cubic(0), q / np.linalg.norm(q))
         assert chordal_distance(s, np.array([1, 0, 0])) < 1e-12
+
+    def test_non_cubic_refused_by_degree(self):
+        with pytest.raises(DegreeMismatchError):
+            involution_s(parse_form("z0^2 + z1^2"), np.array([1, 0, 0], dtype=complex))
 
     def test_rank_one_rejected(self):
         # [1:0:0] on the Fermat Hessian: polar 3 z0^2 has Gram rank 1.

@@ -166,12 +166,6 @@ class TestExactMatrix:
                 # columns, which pins the basis uniquely.
                 assert [v[c] for c in free] == [int(c == own) for c in free]
 
-    def test_from_columns_reads_columns(self, rng):
-        cols = [[rand_fraction(rng) for _ in range(4)] for _ in range(3)]
-        m = ExactMatrix.from_columns(cols)
-        assert m.rows == 4 and m.cols == 3
-        assert [[row[j] for row in m.entries] for j in range(3)] == cols
-
 
 @pytest.mark.skipif(platform.python_implementation() != "CPython",
                     reason="per-size tuple free lists are a CPython detail")

@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from logcubic.cubics import hesse_cubic, is_smooth_cubic
+from logcubic.cubics import _syzygy_rows, hesse_cubic, is_smooth_cubic
 from logcubic.errors import (
     DegreeMismatchError,
     SingularCurveError,
+    SpaceMismatchError,
     ZeroInputError,
 )
 from logcubic.forms import (
@@ -32,8 +33,6 @@ from logcubic.sheaf import (
     PRODUCT_INDEX,
     _det3,
     _is_jacobi_normal,
-    _syzygy_columns,
-    _syzygy_matrix,
     canonical_normal,
     cayleyan_cubic,
     chern_data,
@@ -52,6 +51,9 @@ from conftest import (
     rand_hesse_t,
     rand_nonzero_fraction,
     random_unimodular,
+    sympy_multiples,
+    sympy_poly,
+    sympy_syzygy_rows,
 )
 from test_linalg import naive_rank
 
@@ -79,11 +81,17 @@ class TestJumpingMatrix:
     def test_fermat_alpha_z0(self):
         m = jumping_matrix(hesse_cubic(0), variable(0))
         assert (m.rows, m.cols) == (6, 6)
-        # Column 3 is d0(f) = 3*z0^2, exactly 3 times column 0 (z0*alpha).
-        col0 = [m.entries[r][0] for r in range(6)]
-        col3 = [m.entries[r][3] for r in range(6)]
-        assert col3 == [3 * x for x in col0]
+        # Row 3 is d0(f) = 3*z0^2, exactly 3 times row 0 (z0*alpha).
+        assert m.entries[3] == tuple([3 * x for x in m.entries[0]])
         assert m.rank() == 5
+
+    def test_rows_match_sympy(self, rng):
+        # Rows z0*alpha, z1*alpha, z2*alpha, then d0 f, d1 f, d2 f, each
+        # expanded by sympy.
+        f = TernaryForm(3, {m: rand_fraction(rng) for m in monomial_basis(3)})
+        alpha = rand_alpha(rng)
+        expected = sympy_multiples([sympy_poly(alpha)], 1, 1) + sympy_syzygy_rows(f, -1)
+        assert jumping_matrix(f, alpha).entries == tuple(expected)
 
     def test_hesse_two_alpha_difference(self):
         m = jumping_matrix(hesse_cubic(2), parse_form("z0 - z1"))
@@ -96,6 +104,12 @@ class TestJumpingMatrix:
     def test_alpha_must_be_linear(self):
         with pytest.raises(DegreeMismatchError):
             jumping_matrix(hesse_cubic(0), parse_form("z0^2"))
+
+    def test_dual_alpha_refused(self):
+        f, alpha = hesse_cubic(2), variable(0, DUAL)
+        for question in (jumping_matrix, jumping_line_test, splitting_type):
+            with pytest.raises(SpaceMismatchError):
+                question(f, alpha)
 
 
 class TestJumpingLine:
@@ -377,10 +391,10 @@ class TestJacobiNormalPairing:
         # A vector that pairs to zero with eight of the nine cubics but is
         # not the normal must fail on the ninth, whichever one that is.
         for f in pairing_cubics(rng)[::3]:
-            columns = _syzygy_columns(f, 0)
+            rows = _syzygy_rows(f, 0)
             normal = jacobi_degree3(f)
             for dropped in range(9):
-                kept = columns[:dropped] + columns[dropped + 1:]
+                kept = rows[:dropped] + rows[dropped + 1:]
                 kernel = ExactMatrix(kept).kernel_basis()
                 assert len(kernel) == 2
                 vector = next(v for v in kernel if not vectors_projectively_equal(v, normal))
@@ -393,7 +407,7 @@ class TestSharedZero:
         for f in pairing_cubics(rng):
             normal = jacobi_degree3(f)
             vectors = [coefficient_vector(f), normal, canonical_normal(normal)]
-            vectors += _syzygy_columns(f, 0)
+            vectors += _syzygy_rows(f, 0)
             for vector in vectors:
                 assert all(isinstance(x, Fraction) for x in vector)
                 assert all(x is ZERO for x in vector if x == 0)
@@ -448,19 +462,19 @@ class TestStability:
             assert d0_graded_dim(f, 1) == 3
 
     def test_graded_dim_against_naive_rank(self, rng):
-        # Oracle: independent dense rank of the 15x18 multiplication matrix.
-        from logcubic.sheaf import _syzygy_matrix
-
+        # Oracle: plain Gaussian elimination on the 18 vectors z^m * d_i f
+        # of length 15, each expanded by sympy.
         for t in (Fraction(2), rand_hesse_t(rng)):
-            matrix = _syzygy_matrix(hesse_cubic(t), 1)
-            assert (matrix.rows, matrix.cols) == (15, 18)
-            assert d0_graded_dim(hesse_cubic(t), 1) == 18 - naive_rank(matrix.entries)
+            rows = sympy_syzygy_rows(hesse_cubic(t), 1)
+            assert (len(rows), len(rows[0])) == (18, 15)
+            assert d0_graded_dim(hesse_cubic(t), 1) == 18 - naive_rank(rows)
 
 
 class TestClosedFormDims:
-    """d0_graded_dim against cols - rank of the multiplication matrix M_k
+    """d0_graded_dim against rows - rank of the multiplication matrix M_k
     itself, for smooth, singular, non-reduced and zero cubics: the closed
-    form k^2 + 3k - 1 must agree wherever it is taken."""
+    form k^2 + 3k - 1 must agree wherever it is taken.  The rows come from
+    the library's builder, which test_cubics.py checks against sympy."""
 
     KS = range(0, 7)
 
@@ -481,8 +495,8 @@ class TestClosedFormDims:
         for f in self.cubics():
             expected = []
             for k in self.KS:
-                matrix = _syzygy_matrix(f, k)
-                expected.append(matrix.cols - matrix.rank())
+                rows = _syzygy_rows(f, k)
+                expected.append(len(rows) - ExactMatrix(rows).rank())
             assert [d0_graded_dim(f, k) for k in self.KS] == expected, str(f)
 
     def test_smooth_cubic_builds_only_m1(self, monkeypatch):
@@ -490,17 +504,18 @@ class TestClosedFormDims:
         import logcubic.sheaf
 
         built = []
-        original = logcubic.cubics._syzygy_matrix
+        original = logcubic.cubics._multiples
 
-        def counting(f, k):
-            built.append(k)
-            return original(f, k)
+        def counting(forms, d):
+            built.append(d)
+            return original(forms, d)
 
-        monkeypatch.setattr(logcubic.cubics, "_syzygy_matrix", counting)
-        monkeypatch.setattr(logcubic.sheaf, "_syzygy_matrix", counting)
+        monkeypatch.setattr(logcubic.cubics, "_multiples", counting)
+        monkeypatch.setattr(logcubic.sheaf, "_multiples", counting)
         f = self.cubics()[0]
         assert d0_graded_dim(f, 4) == 27
-        assert built == [1]
+        # One build, of M_1: the monomials z^m of degree 2.
+        assert built == [2]
 
 
 class TestIntegerTwists:
