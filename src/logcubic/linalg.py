@@ -2,8 +2,10 @@
 matrices whose entries are polynomial forms.
 
 Rank, determinant and kernel share one fraction-free (Bareiss)
-elimination on an integer-rescaled copy of the matrix, which keeps
-intermediate entries as minors of the input and avoids rational blow-up.
+elimination on an integer copy of the matrix, each row scaled by the least
+common multiple of its denominators in integer arithmetic (numerator times
+multiplier // denominator, no Fraction products).  Bareiss keeps
+intermediate entries as minors of that copy and avoids rational blow-up.
 A row whose entry in the pivot column is zero is left out of that step and
 carries the pivot it was last brought to in ``scaled_by``, so the work
 follows the nonzeros of the matrix while the echelon form stays Bareiss's.
@@ -14,7 +16,7 @@ Fractions appear only in the result.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 from .errors import MatrixShapeError, ResultantInputError
@@ -55,22 +57,21 @@ class ExactMatrix:
 
     # -- integer rescaling -------------------------------------------------
 
-    def _integer_rows(self) -> tuple[list[list[int]], Fraction]:
-        """Scale each row to integers; return rows and the product of the
-        scale factors (so det(self) = det(int rows) / product)."""
+    def _integer_rows(self) -> tuple[list[list[int]], int]:
+        """Scale each row by the lcm of its denominators, in integer
+        arithmetic; return the int rows and the product of the multipliers
+        (so det(self) = det(int rows) / product)."""
         scaled: list[list[int]] = []
-        scaling = Fraction(1)
+        scaling = 1
         for row in self.entries:
-            mult = 1
-            for x in row:
-                mult = mult * x.denominator // gcd(mult, x.denominator)
+            mult = lcm(*[x.denominator for x in row])
             scaling *= mult
-            scaled.append([int(x * mult) for x in row])
+            scaled.append([x.numerator * (mult // x.denominator) for x in row])
         return scaled, scaling
 
     # -- elimination (fraction-free) ----------------------------------------
 
-    def _bareiss(self) -> tuple[list[list[int]], list[int], int, Fraction]:
+    def _bareiss(self) -> tuple[list[list[int]], list[int], int, int]:
         """Fraction-free elimination on the integer-rescaled matrix.
 
         Returns (echelon, pivot_cols, sign, row_scaling): the integer row
@@ -136,7 +137,7 @@ class ExactMatrix:
         echelon, pivot_cols, sign, scaling = self._bareiss()
         if len(pivot_cols) < self.rows:
             return Fraction(0)
-        return Fraction(sign * echelon[-1][-1]) / scaling
+        return Fraction(sign * echelon[-1][-1], scaling)
 
     def kernel_basis(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right kernel: all v with M*v = 0, exactly.

@@ -22,6 +22,7 @@ from .cubics import _QUARTICS, _multiples, _quartic_rank, _syzygy_rows, is_smoot
 from .errors import DegreeMismatchError, SingularCurveError, SpaceMismatchError, ZeroInputError
 from .forms import (
     DUAL,
+    PRIMAL,
     ZERO,
     TernaryForm,
     coefficient_vector,
@@ -125,8 +126,9 @@ def splitting_type(f: TernaryForm, alpha: TernaryForm) -> tuple[int, int]:
 
 
 def cayleyan_cubic(f: TernaryForm) -> TernaryForm:
-    """The jumping-line locus of f as an exact cubic in dual coordinates:
-    the determinant of the symbolic jumping matrix, whose rows are
+    """The jumping-line locus of f as an exact cubic in the coordinates of
+    the line, so in the plane opposite to f's (dual for a primal f): the
+    determinant of the symbolic jumping matrix, whose rows are
     z0*a, z1*a, z2*a, d0 f, d1 f, d2 f (as in :func:`jumping_matrix`) with
     the line a = a0 z0 + a1 z1 + a2 z2 left symbolic, read off the 3x3
     minors of the partials' coefficients.  Evaluating it at a rational line
@@ -162,7 +164,7 @@ def _cayleyan_cubic(f: TernaryForm) -> TernaryForm:
     smooth, without the smoothness gate."""
     p = list(zip(*_syzygy_rows(f, -1)))
     coeffs = [sum(c * _det3(p[i], p[j], p[k]) for c, i, j, k in r) for r in _CAYLEYAN_MINORS]
-    return form_from_coefficients(coeffs, 3, DUAL)
+    return form_from_coefficients(coeffs, 3, PRIMAL if f.space == DUAL else DUAL)
 
 
 def canonical_normal(vector: Sequence[Fraction]) -> HyperplaneNormal:
@@ -223,6 +225,8 @@ def is_jumping_cubic(f: TernaryForm, g: TernaryForm) -> bool:
         raise ZeroInputError("test cubic g must be nonzero")
     if g.degree != 3:
         raise DegreeMismatchError(f"g must be a cubic, got degree {g.degree}")
+    if g.space != f.space:
+        raise SpaceMismatchError(f"g is a {g.space} form, the cubic a {f.space} one")
     normal = jacobi_degree3(f)
     pairing = sum(
         (n * c for n, c in zip(normal, coefficient_vector(g))), Fraction(0)

@@ -3,7 +3,9 @@ import platform
 import random
 import sys
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -193,7 +195,12 @@ def test_hot_constructors_leave_no_tuple_free_lists():
 
 # -- elimination against sympy ------------------------------------------------
 
-nonzero_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+# Small entries, and entries of large height: numerators and denominators up
+# to 2^64, so the denominators in a row are unrelated and its multiplier is
+# about as tall as their product.
+small_rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+tall_rationals = st.builds(Fraction, st.integers(-(2**64), 2**64), st.integers(1, 2**64))
+nonzero_rationals = (small_rationals | tall_rationals).filter(bool)
 
 
 @st.composite
@@ -253,6 +260,33 @@ def test_elimination_matches_sympy(entries):
         assert (oracle * ours.T).is_zero_matrix
         # Same span: the sympy basis adds nothing to ours.
         assert ours.col_join(sympy.Matrix.hstack(*nullspace).T).rank() == len(basis)
+
+
+def test_integer_rows_scale_each_row_by_its_least_common_denominator(rng):
+    """Row r of the integer copy is row r times the lcm of its denominators,
+    and the scaling is the product of those lcms.  The rows include shared
+    and nested denominators, where the lcm is below their product, and
+    entries of height up to 2^64 and 2^1024."""
+    matrices = [[[Fraction(1, 6), Fraction(-3, 4), Fraction(5, 2)],
+                 [Fraction(7, 9), Fraction(2, 9), Fraction(0)]]]
+    for bits in (4, 64, 1024):
+        for _ in range(10):
+            cols = rng.randint(1, 6)
+            shared = rng.randint(1, 2**bits)
+
+            def entry():
+                den = rng.choice((1, shared, 2 * shared, rng.randint(1, 2**bits)))
+                return Fraction(rng.randint(-(2**bits), 2**bits), den)
+
+            matrices.append([[entry() for _ in range(cols)] for _ in range(rng.randint(1, 6))])
+    for entries in matrices:
+        rows, scaling = ExactMatrix(entries)._integer_rows()
+        multipliers = [reduce(lambda a, b: a * b // gcd(a, b), [x.denominator for x in row])
+                       for row in entries]
+        assert scaling == prod(multipliers)
+        for int_row, row, mult in zip(rows, entries, multipliers):
+            assert all(type(x) is int for x in int_row)
+            assert [Fraction(x, mult) for x in int_row] == row
 
 
 # -- form-matrix determinants --------------------------------------------------

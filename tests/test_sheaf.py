@@ -14,9 +14,11 @@ from logcubic.errors import (
 )
 from logcubic.forms import (
     DUAL,
+    PRIMAL,
     ZERO,
     TernaryForm,
     coefficient_vector,
+    form_from_coefficients,
     linear_form,
     monomial_basis,
     monomial_form,
@@ -56,6 +58,11 @@ from conftest import (
     sympy_syzygy_rows,
 )
 from test_linalg import naive_rank
+
+
+def _in_space(form: TernaryForm, space: str) -> TernaryForm:
+    """The form with the same coefficients in the given variable space."""
+    return form_from_coefficients(coefficient_vector(form), form.degree, space)
 
 
 def cayleyan_closed_form(t: Fraction) -> TernaryForm:
@@ -178,6 +185,16 @@ class TestCayleyan:
     def test_fermat_is_coordinate_product(self):
         cay = cayleyan_cubic(hesse_cubic(0))
         assert cay == monomial_form((1, 1, 1), -54, DUAL)
+
+    def test_dual_input_gives_primal_form(self):
+        # The Cayleyan's variables are the coefficients of the line, which
+        # live in the plane opposite to the cubic's: the same cubic written
+        # in a0, a1, a2 has the primal form with the same coefficients.
+        cubics = [hesse_cubic(2), parse_form("2*z0^3 - z0^2*z1 + 3*z0*z1*z2 + z1^3 - 5*z2^3")]
+        for f in cubics:
+            cay = cayleyan_cubic(f)
+            assert cay.space == DUAL
+            assert cayleyan_cubic(_in_space(f, DUAL)) == _in_space(cay, PRIMAL)
 
     def test_matches_closed_form_random(self, rng):
         for _ in range(12):
@@ -439,6 +456,16 @@ class TestJumpingCubic:
     def test_zero_g_rejected(self):
         with pytest.raises(ZeroInputError):
             is_jumping_cubic(hesse_cubic(0), parse_form("0"))
+
+    def test_g_from_the_other_space_refused(self):
+        # g must be a cubic in f's own variables; a dual cubic has no
+        # pairing with the Jacobi normal of a primal one, and vice versa.
+        primal, dual = hesse_cubic(2), _in_space(hesse_cubic(2), DUAL)
+        with pytest.raises(SpaceMismatchError):
+            is_jumping_cubic(primal, TernaryForm(3, {(3, 0, 0): 1}, DUAL))
+        with pytest.raises(SpaceMismatchError):
+            is_jumping_cubic(dual, parse_form("z0^3"))
+        assert is_jumping_cubic(dual, TernaryForm(3, {(3, 0, 0): 1}, DUAL)) is False
 
 
 class TestStability:
