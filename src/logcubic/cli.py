@@ -24,7 +24,7 @@ from .cubics import (
     is_smooth_cubic,
     j_invariant_hesse,
 )
-from .errors import DomainError, InvolutionCheckError, ZeroInputError
+from .errors import DomainError, InvolutionCheckError, OutputTooLargeError, ZeroInputError
 from .forms import (
     PRIMAL,
     TernaryForm,
@@ -394,22 +394,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_human(outputs: dict, indent: str = "") -> None:
+def _human_lines(outputs: dict, indent: str = "") -> list[str]:
+    lines = []
     for key, value in outputs.items():
         if isinstance(value, dict):
-            print(f"{indent}{key}:")
-            _print_human(value, indent + "  ")
+            lines.append(f"{indent}{key}:")
+            lines += _human_lines(value, indent + "  ")
         elif isinstance(value, list) and value and isinstance(value[0], dict):
-            print(f"{indent}{key}:")
+            lines.append(f"{indent}{key}:")
             for item in value:
-                _print_human(item, indent + "  ")
-                print()
+                lines += _human_lines(item, indent + "  ")
+                lines.append("")
         else:
-            print(f"{indent}{key}: {value}")
+            lines.append(f"{indent}{key}: {value}")
+    return lines
 
 
-def _print_sweep_csv(rows: list[dict]) -> None:
-    print(",".join(_SWEEP_COLUMNS))
+def _sweep_csv_lines(rows: list[dict]) -> list[str]:
+    lines = [",".join(_SWEEP_COLUMNS)]
     for row in rows:
         cells = []
         for col in _SWEEP_COLUMNS:
@@ -420,7 +422,47 @@ def _print_sweep_csv(rows: list[dict]) -> None:
                 cells.append("true" if value else "false")
             else:
                 cells.append(str(value))
-        print(",".join(cells))
+        lines.append(",".join(cells))
+    return lines
+
+
+def _render(args, inputs: dict, outputs: dict, elapsed_ms: float) -> str:
+    """The whole stdout text of a successful command, built before any of
+    it is printed."""
+    if getattr(args, "json", False):
+        report = {
+            "command": args.command,
+            "inputs": inputs,
+            "outputs": outputs,
+            "status": "ok",
+        }
+        return json.dumps(report, indent=2)
+    if args.command == "sweep" and getattr(args, "csv", False):
+        return "\n".join(_sweep_csv_lines(outputs["rows"]))
+    lines = [f"command: {args.command}"]
+    lines += [f"  {key}: {value}" for key, value in inputs.items()]
+    lines += _human_lines(outputs)
+    lines.append(f"elapsed: {elapsed_ms:.1f} ms")
+    return "\n".join(lines)
+
+
+def _refuse(args, exc: DomainError) -> int:
+    if getattr(args, "json", False):
+        report = {
+            "command": args.command,
+            "status": "error",
+            "error": {"category": exc.category, "message": str(exc)},
+        }
+        print(json.dumps(report, indent=2))
+    else:
+        print(f"error[{exc.category}]: {exc}", file=sys.stderr)
+    return 1
+
+
+# CPython 3.10.7 and later refuse to turn an int of more than
+# sys.get_int_max_str_digits() digits into text, with a ValueError that
+# says so; an exact result can pass that length.
+_INT_TEXT_LIMIT = "integer string conversion"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -429,35 +471,18 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         inputs, outputs = args.handler(args)
+        elapsed_ms = (time.perf_counter() - started) * 1000.0
+        text = _render(args, inputs, outputs, elapsed_ms)
     except DomainError as exc:
-        report = {
-            "command": args.command,
-            "status": "error",
-            "error": {"category": exc.category, "message": str(exc)},
-        }
-        if getattr(args, "json", False):
-            print(json.dumps(report, indent=2))
-        else:
-            print(f"error[{exc.category}]: {exc}", file=sys.stderr)
-        return 1
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-
-    if getattr(args, "json", False):
-        report = {
-            "command": args.command,
-            "inputs": inputs,
-            "outputs": outputs,
-            "status": "ok",
-        }
-        print(json.dumps(report, indent=2))
-    elif args.command == "sweep" and getattr(args, "csv", False):
-        _print_sweep_csv(outputs["rows"])
-    else:
-        print(f"command: {args.command}")
-        for key, value in inputs.items():
-            print(f"  {key}: {value}")
-        _print_human(outputs)
-        print(f"elapsed: {elapsed_ms:.1f} ms")
+        return _refuse(args, exc)
+    except ValueError as exc:
+        if _INT_TEXT_LIMIT not in str(exc):
+            raise
+        return _refuse(args, OutputTooLargeError(
+            f"an exact result has more than {sys.get_int_max_str_digits()} digits, "
+            "the most Python prints of one integer"
+        ))
+    print(text)
     return 0
 
 

@@ -9,6 +9,13 @@ from triples of conics onto quartics.
 Every multiplication matrix of the library is the vectors z^m * g of one
 builder, :func:`_multiples`, taken as rows: M_k is z^m * d_i(f) for the
 monomials z^m of degree k + 1 (:func:`_syzygy_rows`).
+
+M_1, the smoothness matrix, is eliminated here and only here
+(:func:`_quartic_rank`), on its rows scaled to integers.  Its rank is taken
+first modulo the fixed prime 2^61 - 1: rank 15 there is a certificate,
+since a 15x15 minor that is nonzero mod p is nonzero.  Any lower rank mod p,
+which every singular cubic and rare smooth ones give, falls back to the
+exact elimination of the same integer rows.  Nothing is drawn at random.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from .forms import (
     monomial_basis,
     partial_derivative,
 )
-from .linalg import ExactMatrix, det_form_matrix
+from .linalg import ExactMatrix, _bareiss, _integer_rows, det_form_matrix
 
 SMOOTH = "smooth"
 SINGULAR = "singular"
@@ -131,13 +138,24 @@ def _syzygy_rows(f: TernaryForm, k: int) -> list[tuple[Fraction, ...]]:
 # The quartics, the target of M_1 (:func:`_syzygy_rows` at k = 1).
 _QUARTICS = len(monomial_basis(4))
 
+# The prime of the full-rank certificate for M_1: a constant, so every
+# verdict is reproducible, and below 2^64, so reduced entries stay small.
+_PRIME = 2**61 - 1
+
 
 def _quartic_rank(f: TernaryForm) -> int:
     """How many of the _QUARTICS quartics the partials of the cubic f
     give: the rank of the map from triples of conics to quartics.  The
     partials give all of them exactly when f is smooth; the zero form
-    gives none."""
-    return ExactMatrix(_syzygy_rows(f, 1)).rank()
+    gives none.
+
+    The rank of M_1's integer rows mod _PRIME is at most their rank over Q,
+    so rank _QUARTICS mod p is the answer; below that, the exact
+    elimination of the same rows decides."""
+    rows, _ = _integer_rows(_syzygy_rows(f, 1))
+    if len(_bareiss(rows, _QUARTICS, _PRIME)[1]) == _QUARTICS:
+        return _QUARTICS
+    return len(_bareiss(rows, _QUARTICS)[1])
 
 
 def is_smooth_cubic(f: TernaryForm) -> SmoothnessVerdict:
@@ -147,6 +165,8 @@ def is_smooth_cubic(f: TernaryForm) -> SmoothnessVerdict:
     that is (Macaulay) when they generate every quartic: the multiplication
     map from triples of conics onto the 15 quartics has full rank.  A common
     zero of the partials, i.e. a singular point, keeps that rank below 15.
+    The rank is certified modulo a fixed prime when it is 15 there, and
+    otherwise eliminated exactly (:func:`_quartic_rank`).
     """
     if f.is_zero():
         raise ZeroInputError("smoothness test needs a nonzero cubic")

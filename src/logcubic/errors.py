@@ -101,3 +101,11 @@ class InvolutionCheckError(DomainError):
     from q, or s(q) came within the tolerance of q."""
 
     category = "involution-check-failed"
+
+
+class OutputTooLargeError(DomainError):
+    """An exact result has an integer longer than Python will convert to
+    text (``sys.get_int_max_str_digits()``, 4300 digits by default), so it
+    cannot be printed; the limit is left in force."""
+
+    category = "output-too-large"

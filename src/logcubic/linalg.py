@@ -11,6 +11,14 @@ carries the pivot it was last brought to in ``scaled_by``, so the work
 follows the nonzeros of the matrix while the echelon form stays Bareiss's.
 Kernel vectors are back-substituted from its integer echelon rows, so
 Fractions appear only in the result.
+
+The row scaling (:func:`_integer_rows`) and the elimination
+(:func:`_bareiss`) are module-level functions over rows, which
+``ExactMatrix`` calls and so can a caller that holds rows and wants no
+``Fraction`` copy of them.  Given a prime modulus, the elimination runs on
+the rows reduced mod p with division-free steps and reports the rank mod
+p, a lower bound for the rank over Q: a minor that is nonzero mod p is
+nonzero.
 """
 
 from __future__ import annotations
@@ -55,76 +63,13 @@ class ExactMatrix:
     def __repr__(self) -> str:
         return f"ExactMatrix({self.rows}x{self.cols})"
 
-    # -- integer rescaling -------------------------------------------------
-
-    def _integer_rows(self) -> tuple[list[list[int]], int]:
-        """Scale each row by the lcm of its denominators, in integer
-        arithmetic; return the int rows and the product of the multipliers
-        (so det(self) = det(int rows) / product)."""
-        scaled: list[list[int]] = []
-        scaling = 1
-        for row in self.entries:
-            mult = lcm(*[x.denominator for x in row])
-            scaling *= mult
-            scaled.append([x.numerator * (mult // x.denominator) for x in row])
-        return scaled, scaling
-
-    # -- elimination (fraction-free) ----------------------------------------
+    # -- elimination (fraction-free), through the module-level routines -----
 
     def _bareiss(self) -> tuple[list[list[int]], list[int], int, int]:
-        """Fraction-free elimination on the integer-rescaled matrix.
-
-        Returns (echelon, pivot_cols, sign, row_scaling): the integer row
-        echelon form, whose row i leads in column pivot_cols[i] and whose
-        last pivot is the determinant of the rank-sized pivot minor up to
-        sign; the sign of the row permutation; and the factor relating the
-        integer copy's determinant to the original's.
-
-        Rows are scaled lazily.  Invariant: each row r not yet a pivot row
-        is its Bareiss row times scaled_by[r] / prev, where prev is the last
-        pivot and scaled_by[r] the pivot of the last step that updated row
-        r.  A step leaves out the rows with a zero in its column; it updates
-        the others to (pivot * x - factor * y) // scaled_by[r], which is
-        exact because the quotient is the Bareiss entry, and brings its
-        pivot row to scale first.  So the echelon form is Bareiss's.
-        """
-        m, scaling = self._integer_rows()
-        rows, cols = self.rows, self.cols
-        sign = 1
-        prev = 1
-        scaled_by = [1] * rows
-        pivot_cols: list[int] = []
-        for col in range(cols):
-            rank = len(pivot_cols)
-            pivot_row = next(
-                (r for r in range(rank, rows) if m[r][col] != 0), None
-            )
-            if pivot_row is None:
-                continue
-            if pivot_row != rank:
-                m[rank], m[pivot_row] = m[pivot_row], m[rank]
-                scaled_by[rank], scaled_by[pivot_row] = scaled_by[pivot_row], scaled_by[rank]
-                sign = -sign
-            top = m[rank]
-            if scaled_by[rank] != prev:
-                lag = scaled_by[rank]
-                top = m[rank] = [x * prev // lag for x in top]
-            pivot = top[col]
-            for r in range(rank + 1, rows):
-                row = m[r]
-                factor = row[col]
-                if factor == 0:
-                    continue
-                lag = scaled_by[r]
-                for c in range(col + 1, cols):
-                    row[c] = (pivot * row[c] - factor * top[c]) // lag
-                row[col] = 0
-                scaled_by[r] = pivot
-            prev = pivot
-            pivot_cols.append(col)
-            if len(pivot_cols) == rows:
-                break
-        return m, pivot_cols, sign, scaling
+        """(echelon, pivot_cols, sign, row_scaling) of :func:`_bareiss` on
+        the integer rows of :func:`_integer_rows`."""
+        m, scaling = _integer_rows(self.entries)
+        return (*_bareiss(m, self.cols), scaling)
 
     def rank(self) -> int:
         return len(self._bareiss()[1])
@@ -157,6 +102,91 @@ class ExactMatrix:
                 v[pc] = Fraction(-tail, echelon[row][pc])
             basis.append(tuple(v))
         return basis
+
+
+# -- integer rows and their elimination ----------------------------------------
+
+
+def _integer_rows(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], int]:
+    """Scale each row of Fractions by the lcm of its denominators, in
+    integer arithmetic; return the int rows and the product of the
+    multipliers (so det(rows of Fractions) = det(int rows) / product)."""
+    scaled: list[list[int]] = []
+    scaling = 1
+    for row in entries:
+        mult = lcm(*[x.denominator for x in row])
+        scaling *= mult
+        scaled.append([x.numerator * (mult // x.denominator) for x in row])
+    return scaled, scaling
+
+
+def _bareiss(
+    m: list[list[int]], cols: int, modulus: int | None = None
+) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free elimination of the integer rows m, each of length cols,
+    in place.
+
+    Returns (echelon, pivot_cols, sign): the integer row echelon form, whose
+    row i leads in column pivot_cols[i] and whose last pivot is the
+    determinant of the rank-sized pivot minor up to sign; and the sign of
+    the row permutation.
+
+    Rows are scaled lazily.  Invariant: each row r not yet a pivot row
+    is its Bareiss row times scaled_by[r] / prev, where prev is the last
+    pivot and scaled_by[r] the pivot of the last step that updated row
+    r.  A step leaves out the rows with a zero in its column; it updates
+    the others to (pivot * x - factor * y) // scaled_by[r], which is
+    exact because the quotient is the Bareiss entry, and brings its
+    pivot row to scale first.  So the echelon form is Bareiss's.
+
+    With a prime modulus p the elimination runs on a copy of m reduced mod
+    p, each step is the division-free (pivot * x - factor * y) % p, and only
+    the pivot count is meant to be read: it is the rank of m mod p, which is
+    at most its rank over Q.
+    """
+    rows = len(m)
+    if modulus is not None:
+        m = [[x % modulus for x in row] for row in m]
+    sign = 1
+    prev = 1
+    scaled_by = [1] * rows
+    pivot_cols: list[int] = []
+    for col in range(cols):
+        rank = len(pivot_cols)
+        pivot_row = next(
+            (r for r in range(rank, rows) if m[r][col] != 0), None
+        )
+        if pivot_row is None:
+            continue
+        if pivot_row != rank:
+            m[rank], m[pivot_row] = m[pivot_row], m[rank]
+            scaled_by[rank], scaled_by[pivot_row] = scaled_by[pivot_row], scaled_by[rank]
+            sign = -sign
+        top = m[rank]
+        if scaled_by[rank] != prev:
+            lag = scaled_by[rank]
+            top = m[rank] = [x * prev // lag for x in top]
+        pivot = top[col]
+        for r in range(rank + 1, rows):
+            row = m[r]
+            factor = row[col]
+            if factor == 0:
+                continue
+            if modulus is None:
+                lag = scaled_by[r]
+                for c in range(col + 1, cols):
+                    row[c] = (pivot * row[c] - factor * top[c]) // lag
+                scaled_by[r] = pivot
+            else:
+                for c in range(col + 1, cols):
+                    row[c] = (pivot * row[c] - factor * top[c]) % modulus
+            row[col] = 0
+        if modulus is None:
+            prev = pivot
+        pivot_cols.append(col)
+        if len(pivot_cols) == rows:
+            break
+    return m, pivot_cols, sign
 
 
 # -- determinants of form-valued matrices -------------------------------------

@@ -38,6 +38,9 @@ PRODUCT_INDEX = monomial_basis(3).index((1, 1, 1))
 
 HyperplaneNormal = tuple[Fraction, ...]
 
+# The triples of conics, the rows of M_1.
+_CONIC_TRIPLES = 3 * len(monomial_basis(2))
+
 
 class ChernData(NamedTuple):
     """First and second Chern numbers of the twisted logarithmic sheaf for a
@@ -241,22 +244,27 @@ def d0_graded_dim(f: TernaryForm, k: int) -> int:
     :func:`_syzygy_rows`; its dimension is the number of rows minus the
     rank.
 
-    For k >= 2 the rank of M_1, from triples of conics onto the 15
+    For k >= 1 the rank of M_1, from the 18 triples of conics onto the 15
     quartics, is taken first.  If it is 15, as on every smooth cubic, then
     M_k is onto the forms of degree k + 3 and is not built.  Proof:
     multiplying triples of conics by forms of degree k - 1 shows that
     image(M_k) contains S_{k-1} * image(M_1) = S_{k-1} * S_4 = S_{k+3}.
     So the kernel has dimension 3*C(k+3, 2) - C(k+5, 2) = k^2 + 3k - 1,
-    which is chi(E(k)) for the Chern numbers of ``chern_data(3, k)``.  In
-    every other case, k = 0 and k = 1 included, M_k is eliminated.
+    which is chi(E(k)) for the Chern numbers of ``chern_data(3, k)``
+    (at k = 1, 18 - 15 = 3).  Below 15, k = 1 reads 18 minus that rank,
+    and every other k, k = 0 included, eliminates M_k.
     """
     if f.degree != 3:
         raise DegreeMismatchError(f"need a cubic, got degree {f.degree}")
     _require_int("twist k", k)
     if k < 0:
         raise DegreeMismatchError(f"twist k must be >= 0, got {k}")
-    if k >= 2 and _quartic_rank(f) == _QUARTICS:
-        return k * k + 3 * k - 1
+    if k >= 1:
+        rank = _quartic_rank(f)
+        if rank == _QUARTICS:
+            return k * k + 3 * k - 1
+        if k == 1:
+            return _CONIC_TRIPLES - rank
     rows = _syzygy_rows(f, k)
     return len(rows) - ExactMatrix(rows).rank()
 

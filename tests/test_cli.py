@@ -456,6 +456,57 @@ class TestDeterminismAndErrors:
         assert report["error"]["category"] == "parse-error"
 
 
+def _ten_digit_heavy_coefficients() -> str:
+    """A dense cubic with ten seeded 1000-digit integer coefficients."""
+    import random
+
+    from logcubic.forms import monomial_basis
+
+    rng = random.Random(1)
+    terms = []
+    for mono in monomial_basis(3):
+        powers = "*".join(f"z{i}^{e}" for i, e in enumerate(mono) if e)
+        terms.append(f"{rng.randrange(10**999, 10**1000)}*{powers}")
+    return " + ".join(terms)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+class TestOutputTooLarge:
+    """An exact result past Python's int-to-text limit is refused with a
+    category, not a ValueError traceback, and the limit stays in force."""
+
+    ARGVS = [
+        ["chern", "-d", "9" * 3000, "-k", "0"],
+        ["analyze", "--hesse-t", "7" * 1000],
+        ["sweep", "--t-values", "7" * 1000],
+        ["jacobi", "--form", _ten_digit_heavy_coefficients()],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=["chern", "analyze", "sweep", "jacobi-form"])
+    def test_refused_with_category(self, capsys, argv):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run_cli(capsys, *argv, "--json")
+        assert code == 1
+        report = strict_json(out)
+        assert report["status"] == "error"
+        assert report["error"]["category"] == "output-too-large"
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error[output-too-large]: ")
+        assert sys.get_int_max_str_digits() == limit > 0
+
+    def test_other_value_errors_still_raise(self, monkeypatch):
+        import logcubic.cli
+
+        def broken(args):
+            raise ValueError("not about printing")
+
+        monkeypatch.setattr(logcubic.cli, "cmd_chern", broken)
+        with pytest.raises(ValueError, match="not about printing"):
+            main(["chern", "-d", "3", "-k", "0"])
+
+
 class TestStrictJson:
     @pytest.mark.parametrize(
         "argv, code",

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from logcubic.cubics import (
+    _PRIME,
     SINGULAR,
     SMOOTH,
+    _quartic_rank,
     _syzygy_rows,
     hesse_cubic,
     hesse_parameter,
@@ -16,6 +18,7 @@ from logcubic.cubics import (
 )
 from logcubic.errors import SingularCurveError, ZeroInputError
 from logcubic.forms import ZERO, TernaryForm, monomial_basis, parse_form, substitute_linear
+from logcubic.linalg import ExactMatrix, _bareiss, _integer_rows
 
 from conftest import (
     evaluate,
@@ -140,6 +143,89 @@ class TestSmoothness:
     def test_zero_rejected(self):
         with pytest.raises(ZeroInputError):
             is_smooth_cubic(parse_form("0") * parse_form("0"))
+
+
+def tall_cubic(rng, bits: int, fractional: bool, singular: bool = False) -> TernaryForm:
+    """A dense cubic whose coefficients are b-bit integers, or p/q with b-bit
+    p and q; singular ones leave out z2^3, z0*z2^2 and z1*z2^2, so that
+    [0:0:1] is a singular point."""
+    terms = {}
+    for mono in monomial_basis(3):
+        if singular and mono in {(0, 0, 3), (1, 0, 2), (0, 1, 2)}:
+            continue
+        numerator = rng.choice((-1, 1)) * rng.getrandbits(bits)
+        terms[mono] = Fraction(numerator, rng.getrandbits(bits) | 1 if fractional else 1)
+    return TernaryForm(3, terms)
+
+
+def modular_rank(f: TernaryForm) -> int:
+    """Rank of M_1's integer rows modulo the certificate's prime."""
+    rows, _ = _integer_rows(_syzygy_rows(f, 1))
+    return len(_bareiss(rows, 15, _PRIME)[1])
+
+
+class TestModularCertificate:
+    """_quartic_rank reads rank 15 off M_1's integer rows modulo a fixed
+    prime, and eliminates the same rows exactly when the rank mod p is
+    lower.  Oracle: the exact rank of ExactMatrix on M_1's rows."""
+
+    def test_matches_exact_rank_at_height(self):
+        rng = random.Random(1301)
+        cubics = []
+        for bits, count in ((8, 3), (64, 2), (1024, 1)):
+            for fractional in (False, True):
+                cubics += [tall_cubic(rng, bits, fractional) for _ in range(count)]
+                cubics.append(tall_cubic(rng, bits, fractional, singular=True))
+        ranks = [_quartic_rank(f) for f in cubics]
+        assert ranks == [ExactMatrix(_syzygy_rows(f, 1)).rank() for f in cubics]
+        # Both branches ran: the dense cubics are smooth, the others not.
+        assert 15 in ranks and 14 in ranks
+
+    def test_fallback_decides_a_cubic_the_prime_divides(self):
+        # Modulo p this is the nodal cubic, so the certificate fails; over Q
+        # the discriminant is nonzero and the exact rank is 15.
+        f = parse_form(f"z1^2*z2 - z0^3 - z0^2*z2 + {_PRIME}*z2^3")
+        assert modular_rank(f) == 14
+        assert ExactMatrix(_syzygy_rows(f, 1)).rank() == 15
+        assert _quartic_rank(f) == 15
+        assert is_smooth_cubic(f) == (SMOOTH, "partials generate all 15 quartics")
+
+    @pytest.mark.parametrize("text, rank", [
+        ("z1^2*z2 - z0^3 - z0^2*z2", 14),  # node
+        ("z1^2*z2 - z0^3", 13),  # cusp
+        ("z0*z1*z2", 12),  # triangle
+        ("z2*(z0^2 + z1^2 - z2^2)", 13),  # conic and a secant line
+        ("z0*(z0*z2 - z1^2)", 12),  # conic and a tangent line
+        ("z0^3", 6),  # triple line
+        ("(z0 + 2*z1 - z2)^3", 6),
+    ], ids=["nodal", "cuspidal", "triangle", "conic-secant", "conic-tangent",
+            "triple-line", "moved-triple-line"])
+    def test_singular_witnesses(self, text, rank):
+        f = parse_form(text)
+        rng = random.Random(1302)
+        witness = f"partials generate only {rank} of 15 quartics"
+        for form in [f] + [substitute_linear(f, random_unimodular(rng)) for _ in range(3)]:
+            assert modular_rank(form) <= rank
+            assert is_smooth_cubic(form) == (SINGULAR, witness), str(form)
+
+    def test_tall_smooth_cubic_skips_exact_elimination(self, monkeypatch):
+        import logcubic.cubics
+
+        moduli = []
+        original = logcubic.cubics._bareiss
+
+        def counting(m, cols, modulus=None):
+            moduli.append(modulus)
+            return original(m, cols, modulus)
+
+        monkeypatch.setattr(logcubic.cubics, "_bareiss", counting)
+        f = tall_cubic(random.Random(1303), 4096, fractional=True)
+        assert is_smooth_cubic(f).is_smooth
+        assert moduli == [_PRIME]
+        # A singular cubic takes the exact elimination after the modular one.
+        moduli.clear()
+        assert not is_smooth_cubic(parse_form("z1^2*z2 - z0^3")).is_smooth
+        assert moduli == [_PRIME, None]
 
 
 class TestMultiples:

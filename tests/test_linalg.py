@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from logcubic.cubics import hesse_cubic, hessian_curve
 from logcubic.errors import MatrixShapeError, ResultantInputError
 from logcubic.forms import coefficient_vector, constant_form, parse_form, zero_form
-from logcubic.linalg import ExactMatrix, det_form_matrix, sylvester_resultant
+from logcubic.linalg import ExactMatrix, _bareiss, _integer_rows, det_form_matrix, sylvester_resultant
 from logcubic.sheaf import cayleyan_cubic
 
 from conftest import rand_form, rand_fraction
@@ -280,13 +280,39 @@ def test_integer_rows_scale_each_row_by_its_least_common_denominator(rng):
 
             matrices.append([[entry() for _ in range(cols)] for _ in range(rng.randint(1, 6))])
     for entries in matrices:
-        rows, scaling = ExactMatrix(entries)._integer_rows()
+        rows, scaling = _integer_rows(entries)
         multipliers = [reduce(lambda a, b: a * b // gcd(a, b), [x.denominator for x in row])
                        for row in entries]
         assert scaling == prod(multipliers)
         for int_row, row, mult in zip(rows, entries, multipliers):
             assert all(type(x) is int for x in int_row)
             assert [Fraction(x, mult) for x in int_row] == row
+
+
+def test_rank_mod_prime_matches_sympy():
+    """_bareiss with a modulus gives the rank over GF(p), for a small prime
+    and for 2^61 - 1, on seeded integer matrices: full rank, rank-deficient
+    over Q, and rank-deficient only mod p (a row plus p times another)."""
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    rng = random.Random(1201)
+    for p in (7, 2**61 - 1):
+        field = GF(p)
+        for trial in range(60):
+            rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+            bits = rng.choice((3, 64, 200))
+            m = [[rng.randint(-(2**bits), 2**bits) for _ in range(cols)] for _ in range(rows)]
+            if trial % 3 == 1 and rows > 2:
+                a, b = rng.randint(-5, 5), rng.randint(-5, 5)
+                m[-1] = [a * x + b * y for x, y in zip(m[0], m[1])]
+            elif trial % 3 == 2 and rows > 1:
+                m[-1] = [x + p * rng.randint(-9, 9) for x in m[0]]
+            copy = [list(row) for row in m]
+            oracle = DomainMatrix([[field(x) for x in row] for row in m], (rows, cols), field)
+            assert len(_bareiss(m, cols, p)[1]) == oracle.rank(), (p, m)
+            assert m == copy  # the modular elimination works on its own copy
+            assert len(_bareiss(m, cols, p)[1]) <= len(_bareiss(copy, cols)[1])
 
 
 # -- form-matrix determinants --------------------------------------------------

@@ -490,11 +490,21 @@ class TestStability:
 
     def test_graded_dim_against_naive_rank(self, rng):
         # Oracle: plain Gaussian elimination on the 18 vectors z^m * d_i f
-        # of length 15, each expanded by sympy.
-        for t in (Fraction(2), rand_hesse_t(rng)):
-            rows = sympy_syzygy_rows(hesse_cubic(t), 1)
+        # of length 15, each expanded by sympy.  k = 1 takes the closed form
+        # on smooth cubics and 18 - rank(M_1) on singular ones.
+        cubics = [hesse_cubic(t) for t in (Fraction(2), rand_hesse_t(rng), Fraction(1))]
+        cubics += [TernaryForm(3, {m: rand_fraction(rng) for m in monomial_basis(3)})
+                   for _ in range(2)]
+        for text in (NODAL, CUSPIDAL, "z0*z1*z2", "z2*(z0^2 + z1^2 - z2^2)", "z0^3"):
+            f = parse_form(text)
+            cubics += [f, substitute_linear(f, random_unimodular(rng))]
+        smooth = 0
+        for f in cubics:
+            rows = sympy_syzygy_rows(f, 1)
             assert (len(rows), len(rows[0])) == (18, 15)
-            assert d0_graded_dim(hesse_cubic(t), 1) == 18 - naive_rank(rows)
+            assert d0_graded_dim(f, 1) == 18 - naive_rank(rows), str(f)
+            smooth += is_smooth_cubic(f).is_smooth
+        assert smooth == 4
 
 
 class TestClosedFormDims:
