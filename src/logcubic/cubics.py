@@ -31,7 +31,7 @@ from .forms import (
     monomial_basis,
     partial_derivative,
 )
-from .linalg import ExactMatrix, _bareiss, _integer_rows, det_form_matrix
+from .linalg import ExactMatrix, _bareiss, _integer_rows, _rank_mod, det_form_matrix
 
 SMOOTH = "smooth"
 SINGULAR = "singular"
@@ -153,7 +153,7 @@ def _quartic_rank(f: TernaryForm) -> int:
     so rank _QUARTICS mod p is the answer; below that, the exact
     elimination of the same rows decides."""
     rows, _ = _integer_rows(_syzygy_rows(f, 1))
-    if len(_bareiss(rows, _QUARTICS, _PRIME)[1]) == _QUARTICS:
+    if _rank_mod(rows, _QUARTICS, _PRIME) == _QUARTICS:
         return _QUARTICS
     return len(_bareiss(rows, _QUARTICS)[1])
 

@@ -15,10 +15,9 @@ Fractions appear only in the result.
 The row scaling (:func:`_integer_rows`) and the elimination
 (:func:`_bareiss`) are module-level functions over rows, which
 ``ExactMatrix`` calls and so can a caller that holds rows and wants no
-``Fraction`` copy of them.  Given a prime modulus, the elimination runs on
-the rows reduced mod p with division-free steps and reports the rank mod
-p, a lower bound for the rank over Q: a minor that is nonzero mod p is
-nonzero.
+``Fraction`` copy of them.  :func:`_rank_mod` eliminates such rows reduced
+mod a prime p with division-free steps and reports the rank mod p, a lower
+bound for the rank over Q: a minor that is nonzero mod p is nonzero.
 """
 
 from __future__ import annotations
@@ -120,9 +119,7 @@ def _integer_rows(entries: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]
     return scaled, scaling
 
 
-def _bareiss(
-    m: list[list[int]], cols: int, modulus: int | None = None
-) -> tuple[list[list[int]], list[int], int]:
+def _bareiss(m: list[list[int]], cols: int) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free elimination of the integer rows m, each of length cols,
     in place.
 
@@ -138,15 +135,8 @@ def _bareiss(
     the others to (pivot * x - factor * y) // scaled_by[r], which is
     exact because the quotient is the Bareiss entry, and brings its
     pivot row to scale first.  So the echelon form is Bareiss's.
-
-    With a prime modulus p the elimination runs on a copy of m reduced mod
-    p, each step is the division-free (pivot * x - factor * y) % p, and only
-    the pivot count is meant to be read: it is the rank of m mod p, which is
-    at most its rank over Q.
     """
     rows = len(m)
-    if modulus is not None:
-        m = [[x % modulus for x in row] for row in m]
     sign = 1
     prev = 1
     scaled_by = [1] * rows
@@ -172,21 +162,41 @@ def _bareiss(
             factor = row[col]
             if factor == 0:
                 continue
-            if modulus is None:
-                lag = scaled_by[r]
-                for c in range(col + 1, cols):
-                    row[c] = (pivot * row[c] - factor * top[c]) // lag
-                scaled_by[r] = pivot
-            else:
-                for c in range(col + 1, cols):
-                    row[c] = (pivot * row[c] - factor * top[c]) % modulus
+            lag = scaled_by[r]
+            for c in range(col + 1, cols):
+                row[c] = (pivot * row[c] - factor * top[c]) // lag
             row[col] = 0
-        if modulus is None:
-            prev = pivot
+            scaled_by[r] = pivot
+        prev = pivot
         pivot_cols.append(col)
         if len(pivot_cols) == rows:
             break
     return m, pivot_cols, sign
+
+
+def _rank_mod(m: list[list[int]], cols: int, p: int) -> int:
+    """Rank modulo the prime p of the integer rows m, each of length cols:
+    at most their rank over Q, since a minor that is nonzero mod p is
+    nonzero.  Eliminates a reduced copy of m with the division-free step
+    (pivot * x - factor * y) % p; m is left as it was."""
+    m = [[x % p for x in row] for row in m]
+    rank = 0
+    for col in range(cols):
+        pivot_row = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if pivot_row is None:
+            continue
+        m[rank], m[pivot_row] = m[pivot_row], m[rank]
+        top = m[rank]
+        pivot = top[col]
+        for row in m[rank + 1:]:
+            factor = row[col]
+            if factor:
+                for c in range(col + 1, cols):
+                    row[c] = (pivot * row[c] - factor * top[c]) % p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 # -- determinants of form-valued matrices -------------------------------------

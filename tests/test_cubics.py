@@ -18,7 +18,7 @@ from logcubic.cubics import (
 )
 from logcubic.errors import SingularCurveError, ZeroInputError
 from logcubic.forms import ZERO, TernaryForm, monomial_basis, parse_form, substitute_linear
-from logcubic.linalg import ExactMatrix, _bareiss, _integer_rows
+from logcubic.linalg import ExactMatrix, _integer_rows, _rank_mod
 
 from conftest import (
     evaluate,
@@ -161,7 +161,7 @@ def tall_cubic(rng, bits: int, fractional: bool, singular: bool = False) -> Tern
 def modular_rank(f: TernaryForm) -> int:
     """Rank of M_1's integer rows modulo the certificate's prime."""
     rows, _ = _integer_rows(_syzygy_rows(f, 1))
-    return len(_bareiss(rows, 15, _PRIME)[1])
+    return _rank_mod(rows, 15, _PRIME)
 
 
 class TestModularCertificate:
@@ -211,21 +211,18 @@ class TestModularCertificate:
     def test_tall_smooth_cubic_skips_exact_elimination(self, monkeypatch):
         import logcubic.cubics
 
-        moduli = []
-        original = logcubic.cubics._bareiss
-
-        def counting(m, cols, modulus=None):
-            moduli.append(modulus)
-            return original(m, cols, modulus)
-
-        monkeypatch.setattr(logcubic.cubics, "_bareiss", counting)
+        calls = []
+        for name in ("_rank_mod", "_bareiss"):
+            original = getattr(logcubic.cubics, name)
+            monkeypatch.setattr(logcubic.cubics, name, lambda *args, name=name, f=original:
+                                calls.append(name) or f(*args))
         f = tall_cubic(random.Random(1303), 4096, fractional=True)
         assert is_smooth_cubic(f).is_smooth
-        assert moduli == [_PRIME]
+        assert calls == ["_rank_mod"]
         # A singular cubic takes the exact elimination after the modular one.
-        moduli.clear()
+        calls.clear()
         assert not is_smooth_cubic(parse_form("z1^2*z2 - z0^3")).is_smooth
-        assert moduli == [_PRIME, None]
+        assert calls == ["_rank_mod", "_bareiss"]
 
 
 class TestMultiples:

@@ -1,8 +1,8 @@
 """Time the smoothness test against the height of the input.
 
-For each coefficient kind and bit size b, draws a few seeded dense cubics
-and times one ``is_smooth_cubic`` call on each (the best of --reps calls),
-printing a markdown table of milliseconds per call and the verdicts.
+For each coefficient kind and bit size b, draws three dense cubics from
+seed 1 and times one ``is_smooth_cubic`` call on each, printing a markdown
+table of milliseconds per call and the verdicts.
 
 Kinds:
   integer           ten random b-bit integer coefficients;
@@ -33,6 +33,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from logcubic.cubics import is_smooth_cubic  # noqa: E402
 from logcubic.forms import TernaryForm, monomial_basis  # noqa: E402
 
+SEED = 1
+CUBICS_PER_ROW = 3
 BITS = (16, 64, 256, 1024, 4096)
 KINDS = ("integer", "p/q", "singular integer", "singular p/q")
 # The monomials whose absence makes [0:0:1] a singular point.
@@ -55,25 +57,19 @@ def cubic(rng: random.Random, kind: str, bits: int) -> TernaryForm:
     return TernaryForm(3, terms)
 
 
-def time_call(f: TernaryForm, reps: int) -> tuple[float, str]:
-    best = float("inf")
-    for _ in range(reps):
-        start = time.perf_counter()
-        verdict = is_smooth_cubic(f)
-        best = min(best, time.perf_counter() - start)
-    return best * 1000.0, verdict.status
+def time_call(f: TernaryForm) -> tuple[float, str]:
+    start = time.perf_counter()
+    verdict = is_smooth_cubic(f)
+    return (time.perf_counter() - start) * 1000.0, verdict.status
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--max-bits", type=int, default=1024,
                         help="largest bit size to run (default %(default)s)")
-    parser.add_argument("--cubics", type=int, default=3, help="cubics per row")
-    parser.add_argument("--reps", type=int, default=1, help="calls per cubic, best taken")
     args = parser.parse_args(argv)
 
-    print(f"seed {args.seed}, {args.cubics} cubics per row, best of {args.reps} calls")
+    print(f"seed {SEED}, {CUBICS_PER_ROW} cubics per row, one call each")
     print("| coefficients | bits | ms per call | verdicts |")
     print("|---|---|---|---|")
     for kind in KINDS:
@@ -81,8 +77,8 @@ def main(argv: list[str] | None = None) -> int:
             if bits > args.max_bits:
                 continue
             # One stream per row, so a row does not depend on which rows ran.
-            rng = random.Random(f"{args.seed}:{kind}:{bits}")
-            results = [time_call(cubic(rng, kind, bits), args.reps) for _ in range(args.cubics)]
+            rng = random.Random(f"{SEED}:{kind}:{bits}")
+            results = [time_call(cubic(rng, kind, bits)) for _ in range(CUBICS_PER_ROW)]
             times = ", ".join(f"{ms:.1f}" for ms, _ in results)
             verdicts = ", ".join(sorted({status for _, status in results}))
             print(f"| {kind} | {bits} | {times} | {verdicts} |", flush=True)
