@@ -24,7 +24,14 @@ from .cubics import (
     is_smooth_cubic,
     j_invariant_hesse,
 )
-from .errors import DomainError, InvolutionCheckError, OutputTooLargeError, ZeroInputError
+from .errors import (
+    CayleyanSingularError,
+    DomainError,
+    InvolutionCheckError,
+    OutputTooLargeError,
+    SingularCurveError,
+    ZeroInputError,
+)
 from .forms import (
     PRIMAL,
     TernaryForm,
@@ -45,7 +52,6 @@ from .sheaf import (
     jacobi_degree3,
 )
 from .torelli import (
-    CandidateSet,
     SheafInvariants,
     _counterexample,
     _reconstruct,
@@ -116,20 +122,10 @@ def form_from_record(record: dict) -> TernaryForm:
 
 
 def _input_cubic(args) -> tuple[TernaryForm, dict]:
-    if getattr(args, "hesse_t", None) is not None:
-        t = args.hesse_t
-        return hesse_cubic(t), {"hesse_t": str(t)}
-    if getattr(args, "form", None):
-        f = parse_form(args.form, PRIMAL)
-        return f, {"form": args.form}
-    raise ZeroInputError("provide a cubic via --hesse-t or --form")
-
-
-def _candidate_record(candidates: CandidateSet) -> dict:
-    return {
-        "exact_roots": [str(r) for r in candidates.exact_roots],
-        "residual_coeffs": [str(c) for c in candidates.residual],
-    }
+    """The cubic of --hesse-t or --form, one of which argparse requires."""
+    if args.hesse_t is not None:
+        return hesse_cubic(args.hesse_t), {"hesse_t": str(args.hesse_t)}
+    return parse_form(args.form, PRIMAL), {"form": args.form}
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -146,9 +142,13 @@ def cmd_analyze(args) -> tuple[dict, dict]:
     t = hesse_parameter(f)
     if t is not None:
         outputs["hesse_t"] = str(t)
-        if verdict.is_smooth:
+        try:
             outputs["j_invariant"] = str(j_invariant_hesse(t))
-            outputs["cayleyan_s"] = str(cayleyan_hesse_param(t)) if t != 0 else None
+            outputs["cayleyan_s"] = str(cayleyan_hesse_param(t))
+        except SingularCurveError:
+            pass
+        except CayleyanSingularError:
+            outputs["cayleyan_s"] = None
     if verdict.is_smooth:
         # The verdict above is the gate; the ungated bodies do not decide it again.
         outputs["cayleyan"] = form_record(_cayleyan_cubic(f))
@@ -212,7 +212,10 @@ def cmd_reconstruct(args) -> tuple[dict, dict]:
     recovered, s, candidates = _reconstruct(invariants)
     outputs = {
         "cayleyan_s": str(s),
-        "candidates": _candidate_record(candidates),
+        "candidates": {
+            "exact_roots": [str(r) for r in candidates.exact_roots],
+            "residual_coeffs": [str(c) for c in candidates.residual],
+        },
         "reconstructed_t": str(recovered),
     }
     if args.hesse_t is not None:
@@ -274,38 +277,27 @@ def cmd_chern(args) -> tuple[dict, dict]:
     )
 
 
+_SWEEP_COLUMNS = ["t", "smooth", "j", "s", "cayleyan_smooth", "stable", "note"]
+
+
 def cmd_sweep(args) -> tuple[dict, dict]:
     rows = []
     for t in args.t_values:
-        row: dict = {
-            "t": str(t),
-            "smooth": None,
-            "j": None,
-            "s": None,
-            "cayleyan_smooth": None,
-            "stable": None,
-            "note": "",
-        }
-        if t**3 == 1:
-            row["smooth"] = False
-            row["note"] = "singular member (t^3 = 1)"
-            rows.append(row)
-            continue
-        row["smooth"] = True
-        row["j"] = str(j_invariant_hesse(t))
-        row["stable"] = is_stable(hesse_cubic(t))
-        if t == 0:
-            row["cayleyan_smooth"] = False
-            row["note"] = "jumping-line cubic degenerates to a0*a1*a2 = 0"
-        else:
-            s = cayleyan_hesse_param(t)
-            row["s"] = str(s)
-            row["cayleyan_smooth"] = s**3 != 1
+        row = {**dict.fromkeys(_SWEEP_COLUMNS), "t": str(t), "note": ""}
         rows.append(row)
+        try:
+            row["j"] = str(j_invariant_hesse(t))
+        except SingularCurveError:
+            row.update(smooth=False, note="singular member (t^3 = 1)")
+            continue
+        row.update(smooth=True, stable=is_stable(hesse_cubic(t)))
+        try:
+            s = cayleyan_hesse_param(t)
+        except CayleyanSingularError:
+            row.update(cayleyan_smooth=False, note="jumping-line cubic degenerates to a0*a1*a2 = 0")
+            continue
+        row.update(s=str(s), cayleyan_smooth=s**3 != 1)
     return {"t_values": [str(t) for t in args.t_values]}, {"rows": rows}
-
-
-_SWEEP_COLUMNS = ["t", "smooth", "j", "s", "cayleyan_smooth", "stable", "note"]
 
 
 # -- driver -------------------------------------------------------------------
@@ -429,7 +421,7 @@ def _sweep_csv_lines(rows: list[dict]) -> list[str]:
 def _render(args, inputs: dict, outputs: dict, elapsed_ms: float) -> str:
     """The whole stdout text of a successful command, built before any of
     it is printed."""
-    if getattr(args, "json", False):
+    if args.json:
         report = {
             "command": args.command,
             "inputs": inputs,
@@ -437,7 +429,7 @@ def _render(args, inputs: dict, outputs: dict, elapsed_ms: float) -> str:
             "status": "ok",
         }
         return json.dumps(report, indent=2)
-    if args.command == "sweep" and getattr(args, "csv", False):
+    if args.command == "sweep" and args.csv:
         return "\n".join(_sweep_csv_lines(outputs["rows"]))
     lines = [f"command: {args.command}"]
     lines += [f"  {key}: {value}" for key, value in inputs.items()]
@@ -447,7 +439,7 @@ def _render(args, inputs: dict, outputs: dict, elapsed_ms: float) -> str:
 
 
 def _refuse(args, exc: DomainError) -> int:
-    if getattr(args, "json", False):
+    if args.json:
         report = {
             "command": args.command,
             "status": "error",

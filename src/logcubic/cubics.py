@@ -181,11 +181,16 @@ def is_smooth_cubic(f: TernaryForm) -> SmoothnessVerdict:
     )
 
 
+def _smooth_member(t: Scalar) -> Fraction:
+    """t as a Fraction, refused when the pencil member at t is singular."""
+    t = Fraction(t)
+    if t**3 == 1:
+        raise SingularCurveError(f"pencil member at t = {t} is singular (t^3 = 1)")
+    return t
+
+
 def j_invariant_hesse(t: Scalar) -> Fraction:
     """j-invariant of the smooth pencil member at parameter t:
     (1/64) * t^3 * (t^3+8)^3 / (t^3-1)^3."""
-    t = Fraction(t)
-    t3 = t**3
-    if t3 == 1:
-        raise SingularCurveError(f"pencil member at t = {t} is singular (t^3 = 1)")
+    t3 = _smooth_member(t) ** 3
     return Fraction(1, 64) * t3 * (t3 + 8) ** 3 / (t3 - 1) ** 3

@@ -313,12 +313,13 @@ def coefficient_vector(f: TernaryForm) -> tuple[Fraction, ...]:
 def form_from_coefficients(
     coeffs: Sequence[Scalar], degree: int, space: str = PRIMAL
 ) -> TernaryForm:
-    """Inverse of :func:`coefficient_vector`."""
-    basis = monomial_basis(degree)
-    if len(coeffs) != len(basis):
+    """Inverse of :func:`coefficient_vector`.  The count of coefficients is
+    checked before the basis of the degree is built and cached."""
+    if degree >= 0 and len(coeffs) != comb(degree + 2, 2):
         raise DegreeMismatchError(
-            f"expected {len(basis)} coefficients for degree {degree}, got {len(coeffs)}"
+            f"expected {comb(degree + 2, 2)} coefficients for degree {degree}, got {len(coeffs)}"
         )
+    basis = monomial_basis(degree)
     return TernaryForm(degree, dict(zip(basis, map(Fraction, coeffs))), space)
 
 
@@ -382,6 +383,9 @@ def vectors_projectively_equal(
 # work stays tied to the length of the text.
 MAX_PARSED_TERMS = 500
 MAX_PARSED_BITS = 4096
+# The parser recurses once per level of parentheses, so the tokenizer
+# refuses deeper nesting, well before Python's recursion limit.
+MAX_PARSED_DEPTH = 100
 
 
 def _size_bits(a: _RawPoly) -> int:
@@ -408,11 +412,15 @@ class _Tokenizer:
         self.tokens: list[tuple[str, object]] = []
         names = _VARS[space]
         i, n = 0, len(text)
+        depth = 0
         while i < n:
             ch = text[i]
             if ch.isspace():
                 i += 1
             elif ch in "+-*^()/":
+                depth += (ch == "(") - (ch == ")")
+                if depth > MAX_PARSED_DEPTH:
+                    raise ParseError(f"parentheses nested deeper than {MAX_PARSED_DEPTH} levels")
                 self.tokens.append((ch, ch))
                 i += 1
             elif "0" <= ch <= "9":
@@ -453,18 +461,15 @@ class _Tokenizer:
 
 
 def _parse_expr(tk: _Tokenizer) -> _RawPoly:
-    sign = Fraction(1)
-    while tk.peek() in ("+", "-"):
-        if tk.next()[0] == "-":
-            sign = -sign
-    total = _raw_scale(_parse_term(tk), sign)
-    while tk.peek() in ("+", "-"):
+    total: _RawPoly = {}
+    while True:
         sign = Fraction(1)
         while tk.peek() in ("+", "-"):
             if tk.next()[0] == "-":
                 sign = -sign
         total = _raw_add(total, _raw_scale(_parse_term(tk), sign))
-    return total
+        if tk.peek() not in ("+", "-"):
+            return total
 
 
 def _parse_term(tk: _Tokenizer) -> _RawPoly:

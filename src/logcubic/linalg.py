@@ -203,50 +203,29 @@ def _rank_mod(m: list[list[int]], cols: int, p: int) -> int:
 
 
 def det_form_matrix(rows: Sequence[Sequence[TernaryForm]]) -> TernaryForm:
-    """Exact determinant of a square matrix of forms.
-
-    Expands column by column with memoization on the set of unused rows
-    (2^n subproblems), which is comfortably fast for the sizes that occur
-    here: 3x3 Hessians and Sylvester matrices of up to 8x8.  A zero result
-    is returned at declared degree 0.
+    """Exact determinant of a square matrix of forms, by cofactor expansion
+    along the first column; the library expands 3x3 Hessians with it.  A
+    zero result is returned at declared degree 0.
     """
     n = len(rows)
     if n == 0 or any(len(row) != n for row in rows):
         raise MatrixShapeError("form matrix must be square and nonempty")
-    space = rows[0][0].space
-    result = _det_minor(rows, 0, frozenset(range(n)), {}, space)
-    return result if result is not None else zero_form(0, space)
+    det = _cofactor_expansion(rows)
+    return det if det else zero_form(0, rows[0][0].space)
 
 
-def _det_minor(
-    rows: Sequence[Sequence[TernaryForm]],
-    col: int,
-    available: frozenset[int],
-    memo: dict[frozenset[int], TernaryForm | None],
-    space: str,
-) -> TernaryForm | None:
-    """Determinant of the submatrix on columns col.. and rows available,
-    or None when identically zero.  A module-level function rather than a
-    closure, so that no call leaves a reference cycle for the collector."""
-    if col == len(rows):
-        return constant_form(1, space)
-    if available in memo:
-        return memo[available]
-    total: TernaryForm | None = None
-    for position, row_idx in enumerate(sorted(available)):
-        entry = rows[row_idx][col]
-        if entry.is_zero():
-            continue
-        sub = _det_minor(rows, col + 1, available - {row_idx}, memo, space)
-        if sub is None:
-            continue
-        term = entry * sub
-        if position % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-        if total is not None and total.is_zero():
-            total = None
-    memo[available] = total
+def _cofactor_expansion(rows: Sequence[Sequence[TernaryForm]]) -> TernaryForm:
+    """Determinant of a nonempty square form matrix along its first column,
+    skipping zero entries.  A module-level function rather than a closure,
+    so that no call leaves a reference cycle for the collector."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = zero_form(0, rows[0][0].space)
+    for i, row in enumerate(rows):
+        if row[0]:
+            minor = [other[1:] for k, other in enumerate(rows) if k != i]
+            term = row[0] * _cofactor_expansion(minor)
+            total = total - term if i % 2 else total + term
     return total
 
 
@@ -263,8 +242,7 @@ def sylvester_resultant(p: TernaryForm, q: TernaryForm, var: int) -> TernaryForm
     exactly when the two polynomials share a nonconstant common factor in
     the designated variable, or both formal leading coefficients vanish
     (a shared "root at infinity").  Either way a nonzero result certifies
-    that no common zero with the remaining variables not all zero exists,
-    which is the direction the smoothness test relies on.
+    that no common zero with the remaining variables not all zero exists.
     """
     if var not in (0, 1, 2):
         raise MatrixShapeError(f"variable index must be 0..2, got {var}")

@@ -23,12 +23,11 @@ from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
 
-from .cubics import hesse_cubic, hesse_pencil_split
+from .cubics import _smooth_member, hesse_cubic, hesse_pencil_split
 from .errors import (
     CayleyanSingularError,
     InconsistentInvariantsError,
     NotHessePencilError,
-    SingularCurveError,
     ZeroInputError,
 )
 from .forms import (
@@ -68,9 +67,7 @@ class CandidateSet(NamedTuple):
 def cayleyan_hesse_param(t: Scalar) -> Fraction:
     """Hesse parameter s = (t^3 + 2) / (3t) of the jumping-line cubic of the
     pencil member at t."""
-    t = Fraction(t)
-    if t**3 == 1:
-        raise SingularCurveError(f"pencil member at t = {t} is singular")
+    t = _smooth_member(t)
     if t == 0:
         raise CayleyanSingularError(
             "at t = 0 the jumping-line cubic degenerates to a0*a1*a2 = 0; "
@@ -82,10 +79,7 @@ def cayleyan_hesse_param(t: Scalar) -> Fraction:
 def forward_invariants(t: Scalar) -> SheafInvariants:
     """Both sheaf invariants of the smooth pencil member at t.  Refusing
     t^3 = 1 here decides smoothness, so the ungated bodies build them."""
-    t = Fraction(t)
-    if t**3 == 1:
-        raise SingularCurveError(f"pencil member at t = {t} is singular")
-    f = hesse_cubic(t)
+    f = hesse_cubic(_smooth_member(t))
     return SheafInvariants(cayleyan=_cayleyan_cubic(f), hyperplane=_jacobi_degree3(f))
 
 

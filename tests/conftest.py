@@ -113,3 +113,23 @@ def chordal_distance(p, q) -> float:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20260808)
+
+
+# Monomial bases that any input of these tests may ask for stay far below
+# this degree; a basis of degree d holds (d + 1)(d + 2)/2 exponent triples.
+BASIS_DEGREE_LIMIT = 64
+
+
+@pytest.fixture
+def bounded_basis(monkeypatch):
+    """Fail at once, instead of filling memory, when forms builds a monomial
+    basis past BASIS_DEGREE_LIMIT."""
+    import logcubic.forms
+
+    original = logcubic.forms.monomial_basis
+
+    def guarded(degree):
+        assert degree <= BASIS_DEGREE_LIMIT, f"monomial basis of degree {degree} built"
+        return original(degree)
+
+    monkeypatch.setattr(logcubic.forms, "monomial_basis", guarded)

@@ -9,7 +9,7 @@ import pytest
 
 import logcubic
 from logcubic.cli import form_record, main
-from logcubic.forms import DUAL, parse_form, projectively_equal
+from logcubic.forms import DUAL, MAX_PARSED_DEPTH, parse_form, projectively_equal
 from logcubic.torelli import forward_invariants
 
 
@@ -171,6 +171,17 @@ class TestReconstructCommand:
                                "--hyperplane-file", str(hyp_path), "--json")
         assert code == 1
         assert strict_json(out)["error"]["category"] == "zero-input"
+
+    def test_huge_degree_refused_before_the_basis(self, capsys, tmp_path, bounded_basis):
+        inv = forward_invariants(Fraction(1, 2))
+        cay_path = tmp_path / "cayleyan.json"
+        hyp_path = tmp_path / "hyperplane.json"
+        cay_path.write_text(json.dumps({**form_record(inv.cayleyan), "degree": 10**6}))
+        hyp_path.write_text(json.dumps({"normal": [str(x) for x in inv.hyperplane]}))
+        code, report, _ = run_json(capsys, "reconstruct", "--cayleyan-file", str(cay_path),
+                                   "--hyperplane-file", str(hyp_path))
+        assert code == 1
+        assert report["error"]["category"] == "degree-mismatch"
 
     def test_integer_entries_accepted(self, capsys, tmp_path):
         inv = forward_invariants(Fraction(2))
@@ -366,6 +377,58 @@ class TestSweepCommand:
         assert exc.value.code == 2
 
 
+class TestTextOutput:
+    """The report without --json: records nest by indentation, a list of
+    records is one block per record, and the elapsed time ends it."""
+
+    @staticmethod
+    def text_lines(capsys, *argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        *lines, elapsed = out.splitlines()
+        assert elapsed.startswith("elapsed: ") and elapsed.endswith(" ms")
+        return lines
+
+    def test_analyze(self, capsys):
+        assert self.text_lines(capsys, "analyze", "--hesse-t", "2") == [
+            "command: analyze",
+            "  hesse_t: 2",
+            "form:",
+            "  space: primal",
+            "  degree: 3",
+            "  coeffs: ['1', '0', '0', '0', '-6', '0', '1', '0', '0', '1']",
+            "  text: z0^3 - 6*z0*z1*z2 + z1^3 + z2^3",
+            "smoothness:",
+            "  status: smooth",
+            "  witness: partials generate all 15 quartics",
+            "stable: True",
+            "hesse_t: 2",
+            "j_invariant: 512/343",
+            "cayleyan_s: 5/3",
+            "cayleyan:",
+            "  space: dual",
+            "  degree: 3",
+            "  coeffs: ['54', '0', '0', '0', '-270', '0', '54', '0', '0', '54']",
+            "  text: 54*a0^3 - 270*a0*a1*a2 + 54*a1^3 + 54*a2^3",
+            "jacobi_normal: ['2', '0', '0', '0', '1', '0', '2', '0', '0', '2']",
+        ]
+
+    def test_sweep(self, capsys):
+        def row(t, smooth, j, s, cayleyan_smooth, stable, note):
+            return [f"  t: {t}", f"  smooth: {smooth}", f"  j: {j}", f"  s: {s}",
+                    f"  cayleyan_smooth: {cayleyan_smooth}", f"  stable: {stable}",
+                    f"  note: {note}", ""]
+
+        assert self.text_lines(capsys, "sweep", "--t-values", "0,1,2") == [
+            "command: sweep",
+            "  t_values: ['0', '1', '2']",
+            "rows:",
+            *row(0, True, 0, None, False, True, "jumping-line cubic degenerates to a0*a1*a2 = 0"),
+            *row(1, False, None, None, None, None, "singular member (t^3 = 1)"),
+            *row(2, True, "512/343", "5/3", True, True, ""),
+        ]
+
+
 class TestDeterminismAndErrors:
     def test_byte_identical_json(self, capsys):
         _, out1, _ = run_cli(capsys, "analyze", "--hesse-t", "2", "--json")
@@ -443,6 +506,23 @@ class TestDeterminismAndErrors:
         code, report, _ = run_json(capsys, "cayleyan", "--form", "z0^2 + z1")
         assert code == 1
         assert report["error"]["category"] == "inhomogeneous"
+
+    def test_empty_form_is_parse_error(self, capsys):
+        code, report, _ = run_json(capsys, "analyze", "--form", "")
+        assert code == 1
+        assert report["error"] == {"category": "parse-error", "message": "empty input"}
+
+    def test_nesting_refused_past_the_bound(self, capsys):
+        cubic = "z0^3 + z1^3 + z2^3"
+        nested = "(" * MAX_PARSED_DEPTH + cubic + ")" * MAX_PARSED_DEPTH
+        code, report, _ = run_json(capsys, "analyze", "--form", nested)
+        assert code == 0
+        assert report["outputs"]["smoothness"]["status"] == "smooth"
+        for levels in (MAX_PARSED_DEPTH + 1, 2000):
+            nested = "(" * levels + cubic + ")" * levels
+            code, report, _ = run_json(capsys, "analyze", "--form", nested)
+            assert code == 1
+            assert report["error"]["category"] == "parse-error"
 
     def test_non_ascii_digit_is_parse_error(self, capsys):
         code, out, _ = run_cli(capsys, "analyze", "--form", "z0^² + z1^3 + z2^3", "--json")

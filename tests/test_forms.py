@@ -13,6 +13,7 @@ from logcubic.errors import (
 )
 from logcubic.forms import (
     DUAL,
+    MAX_PARSED_DEPTH,
     coefficient_vector,
     form_from_coefficients,
     linear_form,
@@ -118,6 +119,20 @@ class TestParse:
                     "7" * 5000 + "*z0^3 + z1^3 + z2^3", "z0^3 + 1/" + "9" * 5000 + "*z1^3"):
             with pytest.raises(ParseError):
                 parse_form(bad)
+
+    def test_nesting_bounded(self):
+        # One level of parentheses is one level of recursion in the parser;
+        # past MAX_PARSED_DEPTH the text is refused before it is parsed.
+        inner = "z0^3 + z1^3 + z2^3"
+        at_bound = "(" * MAX_PARSED_DEPTH + inner + ")" * MAX_PARSED_DEPTH
+        assert parse_form(at_bound) == parse_form(inner)
+        for levels in (MAX_PARSED_DEPTH + 1, 2000):
+            with pytest.raises(ParseError, match="nested deeper"):
+                parse_form("(" * levels + inner + ")" * levels)
+
+    def test_signs_read_before_every_term(self):
+        assert parse_form("--z0 + -z1 - +z2") == parse_form("z0 - z1 - z2")
+        assert parse_form("-(z0 - z1)^2") == parse_form("-z0^2 + 2*z0*z1 - z1^2")
 
     def test_non_ascii_digits_rejected(self):
         # str.isdigit() accepts '²' and '٣', which int() refuses or reads
@@ -268,6 +283,13 @@ class TestCoefficientVectors:
 
     def test_zero_form(self):
         assert coefficient_vector(zero_form(2)) == (0,) * 6
+
+    def test_coefficient_count_checked_before_the_basis(self, bounded_basis):
+        # A degree of a million would ask for a basis of 5 * 10^11 triples.
+        with pytest.raises(DegreeMismatchError, match="expected 500001500001 coefficients"):
+            form_from_coefficients([1] * 10, 10**6)
+        with pytest.raises(DegreeMismatchError, match="degree must be >= 0"):
+            form_from_coefficients([], -1)
 
     def test_roundtrip_random(self, rng):
         for _ in range(25):

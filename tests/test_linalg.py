@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from logcubic.cubics import hesse_cubic, hessian_curve
 from logcubic.errors import MatrixShapeError, ResultantInputError
-from logcubic.forms import coefficient_vector, constant_form, parse_form, zero_form
+from logcubic.forms import coefficient_vector, constant_form, parse_form, variable, zero_form
 from logcubic.linalg import ExactMatrix, _bareiss, _integer_rows, _rank_mod, det_form_matrix, sylvester_resultant
 from logcubic.sheaf import cayleyan_cubic
 
@@ -320,10 +320,16 @@ def test_rank_mod_prime_matches_sympy():
 
 class TestFormDeterminant:
     def test_matches_permutation_expansion(self, rng):
-        for _ in range(10):
-            n = rng.randint(1, 3)
-            rows = [[rand_form(rng, 1, density=0.7) for _ in range(n)] for _ in range(n)]
+        for _ in range(12):
+            n = rng.randint(1, 4)
+            rows = [[rand_form(rng, 1, density=0.5) for _ in range(n)] for _ in range(n)]
             assert det_form_matrix(rows) == permutation_det_forms(rows)
+
+    def test_zero_determinant_at_degree_zero(self, rng):
+        rows = [[rand_form(rng, 1, density=0.7) for _ in range(3)] for _ in range(2)]
+        for matrix in ([[zero_form(2)]], rows + [rows[0]], [[variable(0)] * 2] * 2):
+            det = det_form_matrix(matrix)
+            assert det.is_zero() and det.degree == 0
 
     def test_rational_entries_agree_with_exact_matrix(self, rng):
         for _ in range(10):

@@ -86,6 +86,14 @@ class TestForwardInvariants:
         with pytest.raises(SingularCurveError):
             forward_invariants(1)
 
+    def test_pencil_refusals_share_one_message(self):
+        # j, the Cayleyan's parameter and the forward map refuse a singular
+        # member through one helper, with one message.
+        for fn in (j_invariant_hesse, cayleyan_hesse_param, forward_invariants):
+            with pytest.raises(SingularCurveError) as exc:
+                fn(1)
+            assert str(exc.value) == "pencil member at t = 1 is singular (t^3 = 1)", fn
+
     def test_round_trip_runs_no_rank_test(self, rng, monkeypatch):
         # forward_invariants refuses t^3 = 1 itself and reconstruct checks
         # candidates by pairing, so no smoothness verdict is needed.
