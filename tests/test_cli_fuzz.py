@@ -13,7 +13,8 @@ ask for 5 * 10^11 exponent triples.
 
 Coefficient heights that are accepted stay small, so that the run takes a
 few seconds: a numeral has at most 3 digits or at least 1250, and past
-1233 digits any product or power that holds it is refused as parse-error.
+1233 digits it has more than 4096 bits, so a product that holds it is
+refused as parse-error.
 Examples are derandomized and capped, and the explain phase is left out.
 """
 
