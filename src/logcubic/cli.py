@@ -29,7 +29,9 @@ from .errors import (
     DomainError,
     InvolutionCheckError,
     OutputTooLargeError,
+    ParseError,
     SingularCurveError,
+    SpaceMismatchError,
     ZeroInputError,
 )
 from .forms import (
@@ -38,6 +40,7 @@ from .forms import (
     coefficient_vector,
     form_from_coefficients,
     parse_form,
+    parse_rational,
 )
 from .involution import check_involution
 from .sheaf import (
@@ -63,8 +66,8 @@ from .torelli import (
 
 def _rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        return parse_rational(text)
+    except ParseError as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
@@ -80,7 +83,7 @@ def _json_rational(value) -> Fraction:
     integer: a float would be read as its binary double."""
     if isinstance(value, bool) or not isinstance(value, (str, int)):
         raise TypeError(f"not a p/q string or an integer: {value!r}")
-    return Fraction(value)
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
 def _json_rationals(values) -> list[Fraction]:
@@ -97,7 +100,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d*\.?\d+(/\d+)?(,|$)")
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?(,|$)")
 
 
 def form_record(form: TernaryForm) -> dict:
@@ -112,7 +115,8 @@ def form_record(form: TernaryForm) -> dict:
 
 def form_from_record(record: dict) -> TernaryForm:
     """The form of a :func:`form_record`; its degree must be a JSON integer,
-    where int() would truncate 3.9 to 3 and read true as 1."""
+    where int() would truncate 3.9 to 3 and read true as 1, and the form
+    refuses a space other than "primal" or "dual"."""
     degree = record["degree"]
     if isinstance(degree, bool) or not isinstance(degree, int):
         raise TypeError(f"degree is not an integer: {degree!r}")
@@ -199,7 +203,7 @@ def cmd_reconstruct(args) -> tuple[dict, dict]:
                 hyp_record = json.load(handle)
             cayleyan = form_from_record(cay_record)
             normal = tuple(_json_rationals(hyp_record["normal"]))
-        except (OSError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, ParseError, SpaceMismatchError) as exc:
             raise ZeroInputError(f"cannot read invariant files: {exc}") from exc
         if len(normal) != 10:
             raise ZeroInputError("hyperplane file must list 10 rationals")

@@ -106,14 +106,9 @@ def gram_matrix(conic: TernaryForm) -> ExactMatrix:
     if conic.degree != 2:
         raise DegreeMismatchError(f"Gram matrix needs a conic, got degree {conic.degree}")
     g = [[Fraction(0)] * 3 for _ in range(3)]
-    for (e0, e1, e2), coeff in conic.terms.items():
-        support = [i for i, e in enumerate((e0, e1, e2)) if e > 0]
-        if len(support) == 1:
-            i = support[0]
-            g[i][i] = coeff
-        else:
-            i, j = support
-            g[i][j] = g[j][i] = coeff / 2
+    for mono, coeff in conic.terms.items():
+        i, j = [k for k, e in enumerate(mono) for _ in range(e)]  # z_i * z_j
+        g[i][j] = g[j][i] = coeff if i == j else coeff / 2
     return ExactMatrix(g)
 
 

@@ -90,6 +90,12 @@ class NumericRankError(DomainError):
     category = "numeric-rank"
 
 
+class NumericRangeError(DomainError):
+    """An exact value is past the range of the floats the numeric layer uses."""
+
+    category = "numeric-range"
+
+
 class InsufficientSamplesError(DomainError):
     """Too few usable samples survived filtering to report a verdict."""
 

@@ -12,6 +12,7 @@ coefficient vector in the library reads its entries in this order.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
@@ -225,10 +226,8 @@ class TernaryForm:
             return "0"
         names = _VARS[self.space]
         pieces: list[str] = []
-        for mono in monomial_basis(self.degree):
-            coeff = self.terms.get(mono)
-            if coeff is None:
-                continue
+        for mono in sorted(self.terms, reverse=True):  # graded-lex order
+            coeff = self.terms[mono]
             factors = [
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(names, mono)
@@ -374,9 +373,9 @@ def vectors_projectively_equal(
 #   expr   := ['+'|'-'] term (('+'|'-') term)*
 #   term   := factor ('*' factor)*
 #   factor := atom ['^' INT]
-#   atom   := INT ['/' INT] | VAR | '(' expr ')'
+#   atom   := NUM | VAR | '(' expr ')'
+# NUM is INT or INT '/' INT, one token; only an INT can be an exponent.
 # VAR is z0|z1|z2 in the primal space, a0|a1|a2 in the dual space.
-# Rational coefficients are written p/q between integer literals only.
 
 # The parser refuses a product or power before forming it when its result
 # could hold more terms or larger coefficients than these, so that parsing
@@ -407,46 +406,49 @@ def _check_parsed_size(terms: int, bits: int) -> None:
         )
 
 
+# A token is a number p or p/q in ASCII digits (q is empty when no digit
+# follows the slash), a word, an operator, or any character but whitespace,
+# which finditer skips.  str.isdigit() would also accept '²', which int() refuses.
+_NUMBER = r"([0-9]+)(?:\s*/\s*([0-9]*))?"
+_TOKEN = re.compile(rf"{_NUMBER}|([^\W\d_]\w*)|([-+*^()/])|(\S)")
+_RATIONAL = re.compile(rf"\s*([-+]?)\s*{_NUMBER}\s*")
+
+
+def _number(p: str, q: str | None) -> int | Fraction:
+    """A number token's value: an int for p, the only exponent, or a Fraction for p/q."""
+    try:
+        return int(p) if q is None else Fraction(int(p), int(q or 0))
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"numeral of {max(len(p), len(q or ''))} digits is too long") from None
+    except ZeroDivisionError:
+        raise ParseError("denominator must be a nonzero integer") from None
+
+
+def parse_rational(text: str) -> Fraction:
+    """The one reader of exact numbers from text: a number token p or p/q of
+    the polynomial grammar after an optional sign, whitespace free around each."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ParseError(f"not a rational number: {text!r}")
+    value = Fraction(_number(match[2], match[3]))
+    return -value if match[1] == "-" else value
+
+
 class _Tokenizer:
     def __init__(self, text: str, space: str):
         self.tokens: list[tuple[str, object]] = []
-        names = _VARS[space]
-        i, n = 0, len(text)
-        depth = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-            elif ch in "+-*^()/":
-                depth += (ch == "(") - (ch == ")")
-                if depth > MAX_PARSED_DEPTH:
-                    raise ParseError(f"parentheses nested deeper than {MAX_PARSED_DEPTH} levels")
-                self.tokens.append((ch, ch))
-                i += 1
-            elif "0" <= ch <= "9":
-                # ASCII only: str.isdigit() also accepts digits such as '²'
-                # that int() refuses.
-                j = i
-                while j < n and "0" <= text[j] <= "9":
-                    j += 1
-                try:
-                    self.tokens.append(("num", int(text[i:j])))
-                except ValueError:  # more digits than int() converts
-                    raise ParseError(f"numeral of {j - i} digits is too long") from None
-                i = j
-            elif ch.isalpha():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                if word not in names:
-                    raise ParseError(
-                        f"unknown variable {word!r}; expected one of {names}"
-                    )
-                self.tokens.append(("var", names.index(word)))
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r} at position {i}")
+        names, depth = _VARS[space], 0
+        for match in _TOKEN.finditer(text):
+            p, q, word, op, other = match.groups()
+            if other is not None:
+                raise ParseError(f"unexpected character {other!r} at position {match.start()}")
+            if word is not None and word not in names:
+                raise ParseError(f"unknown variable {word!r}; expected one of {names}")
+            depth += (op == "(") - (op == ")")
+            if depth > MAX_PARSED_DEPTH:
+                raise ParseError(f"parentheses nested deeper than {MAX_PARSED_DEPTH} levels")
+            self.tokens.append(("num", _number(p, q)) if p is not None else
+                               ("var", names.index(word)) if word is not None else (op, op))
         self.pos = 0
 
     def peek(self) -> str | None:
@@ -489,7 +491,7 @@ def _parse_factor(tk: _Tokenizer) -> _RawPoly:
     if tk.peek() == "^":
         tk.next()
         kind, value = tk.next()
-        if kind != "num":
+        if kind != "num" or not isinstance(value, int):
             raise ParseError("exponent must be a non-negative integer")
         # a^n has at most as many terms as there are multisets of n of a's
         # terms.
@@ -502,14 +504,7 @@ def _parse_factor(tk: _Tokenizer) -> _RawPoly:
 def _parse_atom(tk: _Tokenizer) -> _RawPoly:
     kind, value = tk.next()
     if kind == "num":
-        coeff = Fraction(value)
-        if tk.peek() == "/":
-            tk.next()
-            dkind, dval = tk.next()
-            if dkind != "num" or dval == 0:
-                raise ParseError("denominator must be a nonzero integer")
-            coeff = Fraction(value, dval)
-        return {(0, 0, 0): coeff} if coeff != 0 else {}
+        return {(0, 0, 0): Fraction(value)} if value else {}
     if kind == "var":
         mono = tuple([1 if j == value else 0 for j in range(3)])
         return {mono: Fraction(1)}

@@ -63,6 +63,7 @@ from .cubics import gram_matrix, hessian_curve
 from .errors import (
     DegreeMismatchError,
     InsufficientSamplesError,
+    NumericRangeError,
     NumericRankError,
     SingularCurveError,
     ZeroInputError,
@@ -355,7 +356,7 @@ def check_involution(
     first or the second application) are filtered out; fewer than n/2
     surviving samples raises rather than reporting a hollow pass.  So does
     n < 1, before any sampling; a tolerance that is not finite and positive
-    raises ZeroInputError.
+    raises ZeroInputError, a coefficient past the double range NumericRangeError.
 
     Each application of s is one call on the whole stack: first on every
     sampled point, then on the images that passed.
@@ -366,8 +367,11 @@ def check_involution(
         raise ZeroInputError(f"tolerance must be finite and positive, got {tol}")
     if n < 1:
         raise InsufficientSamplesError(f"need at least 1 sampling line, got {n}")
-    qs = np.array(sample_hessian_points(f, n, seed), dtype=complex).reshape(-1, 3)
-    sqs = involution_s(f, qs)
+    try:
+        qs = np.array(sample_hessian_points(f, n, seed), dtype=complex).reshape(-1, 3)
+        sqs = involution_s(f, qs)
+    except OverflowError:  # float() of an exact value past the double range
+        raise NumericRangeError("the cubic's coefficients exceed the double range") from None
     kept = ~np.isnan(sqs[:, 0])
     qs, sqs = qs[kept], sqs[kept]
     ssqs = involution_s(f, sqs)

@@ -230,11 +230,7 @@ def is_jumping_cubic(f: TernaryForm, g: TernaryForm) -> bool:
         raise DegreeMismatchError(f"g must be a cubic, got degree {g.degree}")
     if g.space != f.space:
         raise SpaceMismatchError(f"g is a {g.space} form, the cubic a {f.space} one")
-    normal = jacobi_degree3(f)
-    pairing = sum(
-        (n * c for n, c in zip(normal, coefficient_vector(g))), Fraction(0)
-    )
-    return pairing == 0
+    return sum(n * c for n, c in zip(jacobi_degree3(f), coefficient_vector(g))) == 0
 
 
 def d0_graded_dim(f: TernaryForm, k: int) -> int:

@@ -13,6 +13,12 @@ from logcubic.forms import DUAL, MAX_PARSED_DEPTH, parse_form, projectively_equa
 from logcubic.torelli import forward_invariants
 
 
+# Number formats that Fraction(str) reads but the polynomial grammar's number
+# token does not: an exponent, a decimal point, an underscore, a non-ASCII
+# digit.
+REMOVED_FORMATS = ["1e1000", "0.5", "1_000", "٣"]
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -149,16 +155,26 @@ class TestReconstructCommand:
             lambda cay, hyp: ({**cay, "coeffs": "1234567890"}, hyp),
             lambda cay, hyp: ({**cay, "degree": 3.9}, hyp),
             lambda cay, hyp: ({**cay, "degree": True}, hyp),
+            lambda cay, hyp: ({**cay, "space": 0}, hyp),
+            lambda cay, hyp: ({**cay, "space": 3}, hyp),
+            lambda cay, hyp: ({**cay, "space": None}, hyp),
+            lambda cay, hyp: ({**cay, "space": "other"}, hyp),
+            *[lambda cay, hyp, v=v: ({**cay, "coeffs": [v] + cay["coeffs"][1:]}, hyp)
+              for v in REMOVED_FORMATS],
+            *[lambda cay, hyp, v=v: (cay, {"normal": hyp["normal"][:4] + [v] + hyp["normal"][5:]})
+              for v in REMOVED_FORMATS],
         ],
         ids=["cayleyan-list", "normal-null", "hyperplane-list", "coeff-float",
              "coeff-integral-float", "normal-bool", "normal-zero-denominator",
-             "normal-string", "coeffs-string", "degree-float", "degree-bool"],
+             "normal-string", "coeffs-string", "degree-float", "degree-bool",
+             "space-0", "space-3", "space-null", "space-other",
+             *[f"coeff-{v}" for v in REMOVED_FORMATS], *[f"normal-{v}" for v in REMOVED_FORMATS]],
     )
     def test_malformed_files_refused(self, capsys, tmp_path, corrupt):
-        # Entries must be p/q strings or integers in JSON lists, and the
-        # degree a JSON integer; anything else, a string of ten digits
-        # included, and any file of the wrong shape, is zero-input with
-        # valid JSON on stdout.
+        # Entries must be p/q strings or integers in JSON lists, the degree
+        # a JSON integer and the space "primal" or "dual"; anything else, a
+        # string of ten digits or "1e1000" included, and any file of the
+        # wrong shape, is zero-input with valid JSON on stdout.
         inv = forward_invariants(Fraction(1, 2))
         cay = form_record(inv.cayleyan)
         hyp = {"normal": [str(x) for x in inv.hyperplane]}
@@ -502,6 +518,32 @@ class TestDeterminismAndErrors:
             main(["cayleyan", "--hesse-t", "abc"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("value", REMOVED_FORMATS + ["1/0", "-0.5", ".5", "1/", "½"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--hesse-t={}"], ["reconstruct", "--hesse-t={}"],
+        ["sweep", "--t-values=2,{}"], ["counterexample", "--abc={},2,3"],
+    ], ids=["analyze", "reconstruct", "sweep", "counterexample"])
+    def test_number_outside_the_token_exit_two(self, capsys, value, argv):
+        # Refused as the flag is read, before any work: `reconstruct
+        # --hesse-t 1e1500` once ran for about 20 s before output-too-large.
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(value) for arg in argv] + ["--json"])
+        assert exc.value.code == 2
+        assert "not a rational number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, t", [
+        ("-5/3", "-5/3"), ("+3", "3"), (" 2 ", "2"), ("2 / 3", "2/3"), ("- 2", "-2"),
+        ("007/014", "1/2"),
+    ])
+    def test_number_token_flags(self, capsys, value, t):
+        # Flags read the number token of form text, with its sign and
+        # whitespace.
+        code, report, _ = run_json(capsys, "analyze", f"--hesse-t={value}")
+        assert code == 0
+        assert report["outputs"]["hesse_t"] == t
+        code, report, _ = run_json(capsys, "sweep", f"--t-values=1,{value}")
+        assert report["outputs"]["rows"][1]["t"] == t
+
     def test_parse_error_category(self, capsys):
         code, report, _ = run_json(capsys, "cayleyan", "--form", "z0^2 + z1")
         assert code == 1
@@ -625,6 +667,17 @@ class TestStrictJson:
         code, out, _ = run_cli(capsys, "involution", "--hesse-t", "2", *argv, "--json")
         assert code == 1
         assert strict_json(out)["error"]["category"] == category
+
+    @pytest.mark.parametrize("argv", [
+        ["--hesse-t", "1" + "0" * 102],
+        ["--form", "z0^3 + z1^3 + z2^3 + 10^160*z0*z1*z2"],
+    ], ids=["hesse-t-1e102", "form-1e160"])
+    def test_involution_past_the_double_range(self, capsys, argv):
+        # The numeric layer rounds exact values to doubles; past their
+        # range the check is refused with a category, not an OverflowError.
+        code, out, _ = run_cli(capsys, "involution", *argv, "--json")
+        assert code == 1
+        assert strict_json(out)["error"]["category"] == "numeric-range"
 
 
 # Runs the CLI module as `python -m logcubic.cli ARGS` does, or, with no

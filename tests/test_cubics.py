@@ -18,7 +18,8 @@ from logcubic.cubics import (
 )
 from logcubic.errors import SingularCurveError, ZeroInputError
 from logcubic.forms import ZERO, TernaryForm, monomial_basis, parse_form, substitute_linear
-from logcubic.linalg import ExactMatrix, _integer_rows, _rank_mod
+from logcubic.linalg import ExactMatrix, _bareiss, _integer_rows, _rank_mod
+from logcubic.sheaf import _jacobi_degree3
 
 from conftest import (
     evaluate,
@@ -223,6 +224,41 @@ class TestModularCertificate:
         calls.clear()
         assert not is_smooth_cubic(parse_form("z1^2*z2 - z0^3")).is_smooth
         assert calls == ["_rank_mod", "_bareiss"]
+
+
+class TestHeightLaws:
+    """The sizes behind the cost at height grow at most linearly in the
+    input's bits b, read as bit lengths rather than wall-clock times: the
+    largest integer of M_1's exact echelon on singular cubics (whose
+    verdict takes that elimination), and the largest numerator or
+    denominator of the Jacobi normal on smooth ones.
+
+    Measured on seeds 1-3 at b = 8, 64 and 512: echelon 14 bits per input
+    bit for integer and 64 for p/q coefficients, normal 9 and 44.  The
+    bounds leave about a quarter of margin in the slope, plus 64 bits."""
+
+    SLOPES = {  # (echelon, normal) bits per input bit
+        False: (18, 12),
+        True: (80, 56),
+    }
+
+    @pytest.mark.parametrize("fractional", [False, True], ids=["integer", "p/q"])
+    def test_linear_in_input_bits(self, fractional):
+        echelon_slope, normal_slope = self.SLOPES[fractional]
+        rng = random.Random(1304)
+        for bits in (8, 64, 512):
+            singular = tall_cubic(rng, bits, fractional, singular=True)
+            rows, _ = _integer_rows(_syzygy_rows(singular, 1))
+            echelon, pivots, _ = _bareiss(rows, 15)
+            assert len(pivots) < 15
+            largest = max(abs(x).bit_length() for row in echelon for x in row)
+            assert largest <= echelon_slope * bits + 64, (bits, largest)
+
+            smooth = tall_cubic(rng, bits, fractional)
+            normal = _jacobi_degree3(smooth)
+            largest = max(max(x.numerator.bit_length(), x.denominator.bit_length())
+                          for x in normal)
+            assert largest <= normal_slope * bits + 64, (bits, largest)
 
 
 class TestMultiples:

@@ -19,6 +19,7 @@ from logcubic.forms import (
     linear_form,
     monomial_basis,
     parse_form,
+    parse_rational,
     partial_derivative,
     projectively_equal,
     substitute_linear,
@@ -141,6 +142,26 @@ class TestParse:
             with pytest.raises(ParseError):
                 parse_form(bad)
 
+    def test_number_token(self):
+        # p/q is one token, with whitespace free around the slash; only a
+        # plain integer is an exponent, and a zero or missing denominator
+        # is refused wherever the token stands.
+        assert parse_form("2 / 3*z0") == parse_form("2/3*z0")
+        assert parse_form("z0^007") == parse_form("z0^7")
+        for bad, message in [("z0^2/1", "exponent"), ("z0^1/2", "exponent"),
+                             ("1/0*z0", "denominator"), ("1/*z0", "denominator"),
+                             ("z0 + 3/", "denominator"), ("z0/2", "trailing input")]:
+            with pytest.raises(ParseError, match=message):
+                parse_form(bad)
+
+    def test_whitespace_read_in_linear_time(self):
+        # A token pattern led by optional whitespace fails again at every
+        # start of a trailing run: 20 s for these 20,000 spaces.
+        start = time.perf_counter()
+        for text in ("z0^3" + " " * 20_000, "1" + " " * 20_000 + "/ 2*z0^3 " + "\t" * 20_000):
+            assert parse_form(text).degree == 3
+        assert time.perf_counter() - start < 1.0
+
     def test_cancellation_to_zero(self):
         assert parse_form("z0^2 - z0^2").is_zero()
 
@@ -148,6 +169,49 @@ class TestParse:
         for _ in range(40):
             f = rand_form(rng, rng.randint(0, 4))
             assert parse_form(str(f)) == f
+
+    def test_str_of_high_degree_builds_no_basis(self, bounded_basis):
+        # Text follows the terms, not the basis of the degree, which holds
+        # about 2 * 10^18 exponent triples here.
+        f = parse_form("(-z0*z1)^1000000000")
+        assert str(f) == "z0^1000000000*z1^1000000000"
+        assert str(parse_form("z0^70 - 2/3*z1^70")) == "z0^70 - 2/3*z1^70"
+
+
+class TestParseRational:
+    """parse_rational reads exactly the polynomial grammar's number token,
+    after an optional sign: the one reader of exact numbers from text."""
+
+    @pytest.mark.parametrize("text, value", [
+        ("7", Fraction(7)), ("-5/3", Fraction(-5, 3)), ("+3", Fraction(3)),
+        (" 2 ", Fraction(2)), ("2 / 3", Fraction(2, 3)), ("- 2", Fraction(-2)),
+        ("007/014", Fraction(1, 2)), ("6/4", Fraction(3, 2)), ("-0", Fraction(0)),
+    ])
+    def test_accepted(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize("text", [
+        "1e1000", "1e3", "0.5", ".5", "1.", "1_000", "٣", "²", "½", "nan", "inf", "",
+        " ", "-", "1/", "/2", "1/0", "3/000", "--2", "+-2", "2/-3", "1/2/3", "0x10", "z0",
+        "9" * 5000, "1/" + "9" * 5000,
+    ])
+    def test_refused(self, text):
+        with pytest.raises(ParseError):
+            parse_rational(text)
+
+    def test_messages(self):
+        with pytest.raises(ParseError, match="denominator must be a nonzero integer"):
+            parse_rational("1/0")
+        with pytest.raises(ParseError, match="numeral of 5000 digits is too long"):
+            parse_rational("-" + "9" * 5000)
+        with pytest.raises(ParseError, match="not a rational number: '1e1000'"):
+            parse_rational("1e1000")
+
+    def test_agrees_with_form_text(self, rng):
+        for _ in range(50):
+            value = rand_fraction(rng, -999, 999, 999)
+            assert parse_rational(str(value)) == value
+            assert parse_form(str(value)).coefficient((0, 0, 0)) == value
 
 
 class TestArithmetic:

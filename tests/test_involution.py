@@ -10,6 +10,7 @@ from logcubic.cubics import gram_matrix, hesse_cubic, hessian_curve
 from logcubic.errors import (
     DegreeMismatchError,
     InsufficientSamplesError,
+    NumericRangeError,
     NumericRankError,
     SingularCurveError,
     ZeroInputError,
@@ -489,6 +490,14 @@ class TestCheckInvolution:
         monkeypatch.setattr("logcubic.involution.sample_hessian_points", no_sampling)
         with pytest.raises(InsufficientSamplesError):
             check_involution(hesse_cubic(2), n, 1e-8, seed=0)
+
+    def test_height_past_the_double_range_refused(self):
+        # At t = 10^50 the check still ends in a report; at 10^102 an exact
+        # value of the line restriction passes the largest double, which
+        # float() refuses with an OverflowError.
+        assert check_involution(hesse_cubic(10**50), 100, 1e-8, 0).samples >= 50
+        with pytest.raises(NumericRangeError):
+            check_involution(hesse_cubic(10**102), 100, 1e-8, 0)
 
     def test_report_determinism(self):
         a = check_involution(hesse_cubic(2), 30, 1e-8, seed=11)
